@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 
 #include "core/prefix.h"
 #include "platform/platform.h"
@@ -458,6 +459,11 @@ class EllenBST {
 
   template <class Slow>
   bool insert_pto1(ThreadCtx& ctx, std::int64_t key, Slow&& slow) {
+    // Without strong atomicity (SoftHTM) a doomed attempt can read a node
+    // freed and reused under it before it validates, so attempts hold the
+    // epoch guard.
+    std::optional<typename EpochDomain<P>::Guard> g;
+    if (!P::strongly_atomic()) g.emplace(ctx.epoch);
     // Node shells come from the thread cache, filled inside the transaction
     // (keys depend on the search); the Info descriptor is gone entirely.
     Node* new_leaf;
@@ -516,6 +522,11 @@ class EllenBST {
 
   template <class Slow>
   bool remove_pto1(ThreadCtx& ctx, std::int64_t key, Slow&& slow) {
+    // Without strong atomicity (SoftHTM) a doomed attempt can read a node
+    // freed and reused under it before it validates, so attempts hold the
+    // epoch guard.
+    std::optional<typename EpochDomain<P>::Guard> g;
+    if (!P::strongly_atomic()) g.emplace(ctx.epoch);
     Node* removed_p = nullptr;
     Node* removed_l = nullptr;
     std::uintptr_t displaced_gp = 0, displaced_p = 0;

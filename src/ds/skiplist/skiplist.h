@@ -4,11 +4,14 @@
 // prefix transaction validates the predecessor links and performs all
 // level updates at once, replacing the per-level CAS sequences.
 //
-// Memory is reclaimed through epoch-based reclamation. A subtle interaction
-// (remove retires a node whose upper levels a lagging insert can still link —
-// "resurrection") is closed by the inserter's post-link check: if its node
-// became marked during linking, it runs one more find() inside its own epoch
-// guard to physically unlink every level before the node can be freed.
+// Memory is reclaimed through epoch-based reclamation. A lock-free insert
+// links upper levels one CAS at a time, so a concurrent remove can unlink
+// and mark a node that its inserter then links again at an upper level
+// ("resurrection"). The inserter's post-link check unlinks it once more
+// (one more find() inside its own guard), but a reader whose guard starts
+// before that find can reach the node. So a node is retired only when both
+// sides are done: each sets its bit in Node::state, and whichever side sets
+// the second bit retires it — after the last unlink, exactly once.
 //
 // Keys are int64; head/tail sentinels use the extreme values, so user keys
 // must lie strictly in (INT64_MIN, INT64_MAX).
@@ -33,6 +36,7 @@ class SkipList {
   struct Node {
     std::int64_t key;
     int toplevel;
+    Atom<P, std::uint32_t> state;  ///< kLinked | kUnlinked, see file comment
     Atom<P, std::uintptr_t> next[kMaxLevel];
   };
 
@@ -126,7 +130,8 @@ class SkipList {
       if (n == nullptr) n = alloc_node(key);
       const int top = n->toplevel;
       // One transaction validates every predecessor link and performs all
-      // the level insertions at once.
+      // the level insertions at once, so a committed node is fully linked.
+      n->state.init(kLinked);
       int r = prefix<P>(
           1,
           [&]() -> int {
@@ -147,7 +152,8 @@ class SkipList {
           [&]() -> int { return 0; }, {&ctx.ins_stats, PTO_TELEMETRY_SITE("skiplist.insert")});
       if (r == 1) return true;
     }
-    // Lock-free fallback, reusing the already-allocated node.
+    // Lock-free fallback, reusing the already-allocated (still private) node.
+    if (n != nullptr) n->state.init(0);
     bool ok = insert_impl(ctx, key, &n);
     if (!ok && n != nullptr) P::template destroy<Node>(n);
     return ok;
@@ -193,7 +199,7 @@ class SkipList {
           },
           [&]() -> int { return 0; }, {&ctx.rem_stats, PTO_TELEMETRY_SITE("skiplist.remove")});
       if (r == 1) {
-        ctx.epoch.retire(victim);
+        finish_remove(ctx, victim);
         return true;
       }
       if (r == 2) return false;
@@ -245,6 +251,21 @@ class SkipList {
   static std::uintptr_t mark(std::uintptr_t w) { return w | 1; }
   static std::uintptr_t strip(std::uintptr_t w) { return w & ~std::uintptr_t{1}; }
 
+  /// Node::state bits: the inserter will never link the node again / its
+  /// remover has unlinked it. Each is set once (fetch_add of a fresh bit).
+  static constexpr std::uint32_t kLinked = 1;
+  static constexpr std::uint32_t kUnlinked = 2;
+
+  /// The logical remover (the only one) has unlinked `victim`. If its
+  /// inserter has finished linking — its fetch_add then saw no kUnlinked and
+  /// left the node alone — retire it; otherwise hand the node over.
+  void finish_remove(ThreadCtx& ctx, Node* victim) {
+    if ((victim->state.load() & kLinked) != 0 ||
+        (victim->state.fetch_add(kUnlinked) & kLinked) != 0) {
+      ctx.epoch.retire(victim);
+    }
+  }
+
   Node* alloc_node(std::int64_t key) {
     Node* n = P::template make<Node>();
     n->key = key;
@@ -255,6 +276,7 @@ class SkipList {
       r >>= 1;
     }
     n->toplevel = lvl;
+    n->state.init(0);
     for (int l = 0; l < kMaxLevel; ++l) n->next[l].init(0);
     return n;
   }
@@ -337,6 +359,7 @@ class SkipList {
       if (is_marked(n->next[0].load())) {
         find(ctx, key, preds, succs);
       }
+      if ((n->state.fetch_add(kLinked) & kUnlinked) != 0) ctx.epoch.retire(n);
       *node = nullptr;  // consumed
       return true;
     }
@@ -351,8 +374,9 @@ class SkipList {
     return remove_node(ctx, key, victim);
   }
 
-  /// Mark `victim` top-down; the winner of the bottom-level mark unlinks and
-  /// retires it. Returns whether this thread was the logical remover.
+  /// Mark `victim` top-down; the winner of the bottom-level mark unlinks it
+  /// and hands it to finish_remove(). Returns whether this thread was the
+  /// logical remover.
   bool remove_node(ThreadCtx& ctx, std::int64_t key, Node* victim) {
     Node* preds[kMaxLevel];
     Node* succs[kMaxLevel];
@@ -367,7 +391,7 @@ class SkipList {
       if (is_marked(sw)) return false;  // someone else removed it
       if (victim->next[0].compare_exchange_strong(sw, mark(sw))) {
         find(ctx, key, preds, succs);  // physical unlink of all levels
-        ctx.epoch.retire(victim);
+        finish_remove(ctx, victim);
         return true;
       }
     }

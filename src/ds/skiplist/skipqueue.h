@@ -26,6 +26,7 @@ class SkipQueue : private SkipList<P> {
   using Base = SkipList<P>;
   using Node = typename Base::Node;
   using Base::find;
+  using Base::finish_remove;
   using Base::head_;
   using Base::is_marked;
   using Base::mark;
@@ -98,6 +99,7 @@ class SkipQueue : private SkipList<P> {
     for (int a = 0; a < pol.attempts; ++a) {
       Node* victim = nullptr;
       std::int64_t key = 0;
+      bool stray = false;  // some level of the victim was not linked from head
       // 1 = popped, 2 = empty, 0 = fall through to a retry / LF path.
       int r = prefix<P>(
           1,
@@ -124,6 +126,8 @@ class SkipQueue : private SkipList<P> {
                   word(first)) {
                 head_->next[l].store(succ_words[l],
                                      std::memory_order_relaxed);
+              } else {
+                stray = true;
               }
             }
             victim = first;
@@ -132,7 +136,15 @@ class SkipQueue : private SkipList<P> {
           },
           [&]() -> int { return 0; }, {&ctx.base.pop_stats, PTO_TELEMETRY_SITE("skipqueue.pop")});
       if (r == 1) {
-        ctx.base.epoch.retire(victim);
+        if (stray) {
+          // A marked node still ahead of the victim at some level may link
+          // it there: unlink every level before the victim can be retired,
+          // as remove_node's find() does.
+          typename Base::Node* preds[Base::kMaxLevel];
+          typename Base::Node* succs[Base::kMaxLevel];
+          find(ctx.base, key, preds, succs);
+        }
+        finish_remove(ctx.base, victim);
         return static_cast<std::int32_t>(key >> kPrioShift);
       }
       if (r == 2) return std::nullopt;

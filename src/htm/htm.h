@@ -36,8 +36,11 @@ enum class Backend { kRTM, kSoft };
 Backend backend();
 
 /// True when transactions are strongly atomic with respect to plain
-/// non-transactional accesses (RTM: yes; SoftHTM: only via its nt_* wrappers,
-/// and epoch elision is additionally unsafe there — see reclaim/epoch.h).
+/// non-transactional accesses. RTM: yes. SoftHTM: only for accesses made
+/// through its nt_* wrappers, which move the orecs its transactions validate
+/// against; memory reused through plain `init()` stores bypasses the orecs,
+/// so a transaction reading a freed-and-reused node would not notice. Epoch
+/// elision therefore stays off there (reclaim/epoch.h).
 inline bool strongly_atomic() { return backend() == Backend::kRTM; }
 
 /// Checkpoint for software aborts; pto::prefix() arms it with setjmp before

@@ -2,68 +2,91 @@
 
 #include "htm/htm.h"
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define PTO_CPU_RELAX() _mm_pause()
-#else
-#define PTO_CPU_RELAX() ((void)0)
-#endif
-
 namespace pto::softhtm {
 
-namespace {
-/// The global NOrec sequence lock. Even = quiescent, odd = a writer (a
-/// committing transaction or a non-transactional store) owns shared memory.
+namespace detail {
+alignas(kCacheLine) Orec g_orecs[std::size_t{1} << kOrecBits];
 alignas(kCacheLine) std::atomic<std::uint64_t> g_clock{0};
+}  // namespace detail
+
+namespace {
 thread_local Tx g_tx;
 thread_local unsigned char g_last_user_code = TX_CODE_NONE;
+
+/// Whether this commit holds `o` (entries not yet locked are kNotOwner).
+bool owns(const Tx& tx, const Orec* o) {
+  for (const WriteEntry& e : tx.writes) {
+    if (e.orec == o && e.locked != kNotOwner) return true;
+  }
+  return false;
+}
+
+/// Every logged read still carries the orec word it was read under. An orec
+/// this commit has locked counts as unchanged if it was locked from that word.
+bool reads_valid(const Tx& tx) {
+  for (const ReadEntry& r : tx.reads) {
+    std::uint64_t w = r.orec->load(std::memory_order_acquire);
+    if (w == r.word) continue;
+    if (w == (r.word | 1) && owns(tx, r.orec)) continue;
+    return false;
+  }
+  return true;
+}
+
+/// Restore the orecs locked by the first `n` write entries (nothing was
+/// written through them, so their versions stay).
+void unlock_first(Tx& tx, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const WriteEntry& e = tx.writes[i];
+    if (e.locked != kNotOwner) {
+      e.orec->store(e.locked, std::memory_order_release);
+    }
+  }
+}
+
+/// Lock the write set, validate the read set, write back, release. A busy
+/// orec aborts instead of waiting, so no commit ever waits on another.
+void write_back(Tx& tx) {
+  const std::size_t n = tx.writes.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    WriteEntry& e = tx.writes[i];
+    if (owns(tx, e.orec)) continue;  // two written words share this orec
+    std::uint64_t w = e.orec->load(std::memory_order_relaxed);
+    if (detail::is_locked(w) ||
+        !e.orec->compare_exchange_strong(w, w | 1, std::memory_order_acquire)) {
+      unlock_first(tx, i);
+      abort_tx(TX_ABORT_CONFLICT, TX_CODE_NONE);
+    }
+    e.locked = w;
+  }
+  if (!reads_valid(tx)) {
+    unlock_first(tx, n);
+    abort_tx(TX_ABORT_CONFLICT, TX_CODE_NONE);
+  }
+  for (const WriteEntry& e : tx.writes) e.wr(e.obj, e.val);
+  for (const WriteEntry& e : tx.writes) {
+    if (e.locked != kNotOwner) detail::release_orec(*e.orec, e.locked);
+  }
+  // Like a hardware commit, order the write-back before later loads.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+}
 }  // namespace
 
 Tx& tls_tx() { return g_tx; }
-std::atomic<std::uint64_t>& global_clock() { return g_clock; }
 unsigned char last_user_code() { return g_last_user_code; }
 
 namespace detail {
 
-std::uint64_t await_even_clock() {
-  for (;;) {
-    std::uint64_t c = g_clock.load(std::memory_order_seq_cst);
-    if ((c & 1) == 0) return c;
-    PTO_CPU_RELAX();
+void extend(Tx& tx, std::uint64_t ver) {
+  std::uint64_t c = g_clock.load(std::memory_order_acquire);
+  while (c < ver &&
+         !g_clock.compare_exchange_weak(c, ver, std::memory_order_acq_rel)) {
   }
-}
-
-std::uint64_t lock_clock() {
-  for (;;) {
-    std::uint64_t c = g_clock.load(std::memory_order_seq_cst);
-    if ((c & 1) == 0 &&
-        g_clock.compare_exchange_weak(c, c + 1, std::memory_order_seq_cst)) {
-      return c;
-    }
-    PTO_CPU_RELAX();
-  }
-}
-
-void unlock_clock(std::uint64_t even_value) {
-  g_clock.store(even_value + 2, std::memory_order_seq_cst);
-}
-
-void validate_or_abort(Tx& tx) {
-  for (;;) {
-    std::uint64_t c = await_even_clock();
-    bool ok = true;
-    for (const LogEntry& e : tx.reads) {
-      if (e.rd(e.obj) != e.val) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) abort_tx(TX_ABORT_CONFLICT, TX_CODE_NONE);
-    if (g_clock.load(std::memory_order_seq_cst) == c) {
-      tx.snapshot = c;
-      return;
-    }
-  }
+  // The new timestamp is taken before revalidating: a read still unchanged
+  // after this point is current at it.
+  const std::uint64_t rv = std::max(c, ver);
+  if (!reads_valid(tx)) abort_tx(TX_ABORT_CONFLICT, TX_CODE_NONE);
+  tx.rv = rv;
 }
 
 }  // namespace detail
@@ -77,8 +100,7 @@ unsigned begin() {
   tx.reads.clear();
   tx.writes.clear();
   tx.depth = 0;
-  tx.user_code = TX_CODE_NONE;
-  tx.snapshot = detail::await_even_clock();
+  tx.rv = detail::g_clock.load(std::memory_order_acquire);
   tx.active = true;
   return TX_STARTED;
 }
@@ -89,22 +111,8 @@ void commit() {
     --tx.depth;
     return;
   }
-  if (tx.writes.empty()) {
-    // Read-only transactions are already consistent at `snapshot`.
-    tx.active = false;
-    tx.reads.clear();
-    return;
-  }
-  auto& clock = global_clock();
-  std::uint64_t c = tx.snapshot;
-  while (!clock.compare_exchange_strong(c, c + 1, std::memory_order_seq_cst)) {
-    // Someone committed since our snapshot: re-validate, then retry from the
-    // validated clock value.
-    detail::validate_or_abort(tx);
-    c = tx.snapshot;
-  }
-  for (const LogEntry& e : tx.writes) e.wr(e.obj, e.val);
-  clock.store(c + 2, std::memory_order_seq_cst);
+  // A read-only transaction is already consistent at its read timestamp.
+  if (!tx.writes.empty()) write_back(tx);
   tx.active = false;
   tx.reads.clear();
   tx.writes.clear();

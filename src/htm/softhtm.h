@@ -1,65 +1,88 @@
 // SoftHTM: a software stand-in for best-effort hardware transactional memory,
 // used on machines without working Intel TSX.
 //
-// Design: NOrec-style STM [Dalessandro et al., PPoPP'10] with one global
-// versioned sequence lock. Transactional reads are validated by value against
-// the global clock; writes are buffered and applied at commit while holding
-// the clock (odd = write-back in progress).
+// Design: a TL2/LSA-style STM over a fixed table of versioned ownership
+// records (orecs) [Dice, Shalev, Shavit, DISC'06; Riegel et al., DISC'06].
+// Every 8-byte word of memory hashes to one orec; an orec word holds a
+// version (upper bits) and a lock bit (bit 0). Writes are buffered and
+// applied at commit while holding the orecs of the write set. Reads log
+// (orec, version) and must not be newer than the transaction's read
+// timestamp `rv`; a newer read extends the snapshot (revalidate every read,
+// then advance rv) instead of returning a value inconsistent with earlier
+// reads. Only the global version clock is shared, and nothing locks it:
+// writers read it to stamp their versions, and only snapshot extension
+// advances it (TL2's GV5 scheme).
 //
 // Strong atomicity: the paper's PTO technique requires that transactions and
 // *non-transactional* lock-free code interoperate. SoftHTM achieves this by
 // routing every non-transactional access to shared `std::atomic` objects
-// through accessors that respect the same sequence lock: loads are
-// seqlock-stable reads, and stores/CAS/RMW briefly acquire the clock. This is
-// correct but serializes writers on one cache line, so SoftHTM is a
-// *correctness* substrate (tests, portability) — performance claims are only
-// made on real RTM or on the simulator, which both provide true strong
-// atomicity. Note also that the global lock technically weakens lock-freedom;
-// see DESIGN.md §2.
+// through accessors that respect the same orecs: loads are orec-stable reads
+// (orec, value, orec) that wait while the orec is locked, and a store,
+// successful CAS or fetch_add locks only its own orec and releases it with a
+// newer version, so every transaction that read the word fails validation.
+// A failed CAS releases the orec unchanged. Accessors of different data
+// lines touch different orec lines, so lock-free code scales across cores;
+// but a preempted orec holder stalls accessors of that stripe, so SoftHTM is
+// not lock-free (DESIGN.md §2).
 //
 // Restrictions (same as real RTM): code inside a transaction must be
 // trivially unwindable — aborts longjmp to the checkpoint installed by
 // pto::prefix(), skipping destructors.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <csetjmp>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <type_traits>
 #include <vector>
 
 #include "common/bits.h"
 #include "common/defs.h"
 #include "htm/txcode.h"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace pto::softhtm {
 
-using ReadFn = std::uint64_t (*)(const void*);
+/// A versioned ownership record: `version << 1 | locked`.
+using Orec = std::atomic<std::uint64_t>;
 using WriteFn = void (*)(void*, std::uint64_t);
 
-/// One logged access. `obj` points at a std::atomic<T>; `rd`/`wr` are the
-/// type-erased accessors for that T.
-struct LogEntry {
+/// One logged read: the orec word (unlocked) seen when the value was read.
+struct ReadEntry {
+  const Orec* orec;
+  std::uint64_t word;
+};
+
+/// Orec words are even when unlocked, so an odd value can mark "no lock".
+inline constexpr std::uint64_t kNotOwner = 1;
+
+/// One buffered write. `obj` points at a std::atomic<T>; `wr` stores into it.
+/// During commit, `locked` holds the orec word this entry's lock replaced;
+/// it is kNotOwner before commit and when an earlier entry of the same
+/// commit holds that orec.
+struct WriteEntry {
   void* obj;
   std::uint64_t val;
-  ReadFn rd;
   WriteFn wr;
+  Orec* orec;
+  std::uint64_t locked;
 };
 
 /// Per-thread transaction descriptor.
 struct Tx {
   bool active = false;
   int depth = 0;  ///< flat nesting depth beyond the outermost begin
-  std::uint64_t snapshot = 0;
-  unsigned char user_code = TX_CODE_NONE;
-  std::vector<LogEntry> reads;
-  std::vector<LogEntry> writes;
+  std::uint64_t rv = 0;  ///< read timestamp: every logged read is <= rv
+  std::vector<ReadEntry> reads;
+  std::vector<WriteEntry> writes;
   std::jmp_buf env;  ///< abort checkpoint, armed by pto::prefix()
 };
 
 Tx& tls_tx();
-std::atomic<std::uint64_t>& global_clock();
 
 /// Begin a transaction (or nest into the active one). Returns TX_STARTED.
 /// The caller must have armed tls_tx().env with setjmp *before* calling.
@@ -79,35 +102,71 @@ unsigned char last_user_code();
 
 namespace detail {
 
-template <class T>
-constexpr void check_type() {
-  static_assert(std::is_trivially_copyable_v<T> && sizeof(T) <= 8,
-                "SoftHTM atomics require trivially copyable T of <= 8 bytes");
-}
+/// Table size: 2^16 orecs (512 KiB), one per 8-byte word modulo 512 KiB, so
+/// the 8 words of a cache line share one line of orecs.
+inline constexpr unsigned kOrecBits = 16;
+extern Orec g_orecs[std::size_t{1} << kOrecBits];
+extern std::atomic<std::uint64_t> g_clock;
 
-template <class T>
-std::uint64_t erased_read(const void* p) {
-  return ::pto::widen<T>(
-      static_cast<const std::atomic<T>*>(p)->load(std::memory_order_seq_cst));
+inline Orec& orec_of(const void* p) {
+  return g_orecs[(reinterpret_cast<std::uintptr_t>(p) >> 3) &
+                 ((std::uintptr_t{1} << kOrecBits) - 1)];
+}
+constexpr bool is_locked(std::uint64_t w) { return (w & 1) != 0; }
+constexpr std::uint64_t version_of(std::uint64_t w) { return w >> 1; }
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#endif
 }
 
 template <class T>
 void erased_write(void* p, std::uint64_t v) {
   static_cast<std::atomic<T>*>(p)->store(::pto::narrow<T>(v),
-                                         std::memory_order_seq_cst);
+                                         std::memory_order_release);
 }
 
-/// Re-validate the read set until the clock is stable; abort on mismatch.
-/// On success, tx.snapshot equals the validated clock value.
-void validate_or_abort(Tx& tx);
+/// Spin until `o` is unlocked; returns the unlocked word.
+inline std::uint64_t await_unlocked(const Orec& o) {
+  for (;;) {
+    std::uint64_t w = o.load(std::memory_order_acquire);
+    if (!is_locked(w)) return w;
+    cpu_relax();
+  }
+}
 
-/// Spin until the clock is even (no write-back in progress); returns it.
-std::uint64_t await_even_clock();
+/// Spin until `o` is unlocked, then lock it; returns the word it replaced.
+inline std::uint64_t lock_orec(Orec& o) {
+  for (;;) {
+    std::uint64_t w = await_unlocked(o);
+    if (o.compare_exchange_weak(w, w | 1, std::memory_order_acquire)) return w;
+  }
+}
 
-/// Acquire the clock as a writer lock (even -> odd). Returns the even value.
-std::uint64_t lock_clock();
+/// Release `o`, locked from `old`, with a version newer than both `old` (so
+/// a logged read of this orec fails validation) and the clock (so every
+/// transaction that began before the lock was taken sees the write as newer
+/// than its snapshot).
+inline void release_orec(Orec& o, std::uint64_t old) {
+  std::uint64_t c = g_clock.load(std::memory_order_acquire);
+  o.store((std::max(c, version_of(old)) + 1) << 1, std::memory_order_release);
+}
 
-void unlock_clock(std::uint64_t even_value);
+/// Read `a` while its orec `o` is unlocked and unchanged; `w` receives that
+/// orec word.
+template <class T>
+T stable_read(const std::atomic<T>& a, const Orec& o, std::uint64_t& w) {
+  for (;;) {
+    w = await_unlocked(o);
+    T v = a.load(std::memory_order_seq_cst);
+    if (o.load(std::memory_order_acquire) == w) return v;
+  }
+}
+
+/// A read saw version `ver` > tx.rv: advance the clock to at least `ver`,
+/// revalidate every logged read and move rv forward, or abort.
+void extend(Tx& tx, std::uint64_t ver);
 
 }  // namespace detail
 
@@ -117,30 +176,25 @@ void unlock_clock(std::uint64_t even_value);
 
 template <class T>
 T tx_load(const std::atomic<T>& a) {
-  detail::check_type<T>();
   Tx& tx = tls_tx();
-  // Read-own-writes: scan the write buffer newest-first.
-  for (auto it = tx.writes.rbegin(); it != tx.writes.rend(); ++it) {
-    if (it->obj == const_cast<std::atomic<T>*>(&a)) {
-      return ::pto::narrow<T>(it->val);
-    }
+  for (const WriteEntry& e : tx.writes) {  // read-own-writes
+    if (e.obj == &a) return ::pto::narrow<T>(e.val);
   }
-  auto& clock = global_clock();
+  const Orec& o = detail::orec_of(&a);
   for (;;) {
-    T v = a.load(std::memory_order_seq_cst);
-    std::uint64_t c = clock.load(std::memory_order_seq_cst);
-    if (c == tx.snapshot) {
-      tx.reads.push_back({const_cast<std::atomic<T>*>(&a), ::pto::widen(v),
-                          &detail::erased_read<T>, nullptr});
-      return v;
+    std::uint64_t w = 0;
+    T v = detail::stable_read(a, o, w);
+    if (detail::version_of(w) > tx.rv) {
+      detail::extend(tx, detail::version_of(w));
+      continue;
     }
-    detail::validate_or_abort(tx);  // extends snapshot or aborts
+    tx.reads.push_back({&o, w});
+    return v;
   }
 }
 
 template <class T>
 void tx_store(std::atomic<T>& a, T v) {
-  detail::check_type<T>();
   Tx& tx = tls_tx();
   for (auto& e : tx.writes) {
     if (e.obj == &a) {
@@ -148,48 +202,51 @@ void tx_store(std::atomic<T>& a, T v) {
       return;
     }
   }
-  tx.writes.push_back({&a, ::pto::widen(v), nullptr, &detail::erased_write<T>});
+  tx.writes.push_back({&a, ::pto::widen(v), &detail::erased_write<T>,
+                       &detail::orec_of(&a), kNotOwner});
 }
 
 // ---------------------------------------------------------------------------
 // Strongly-atomic non-transactional accessors
 // ---------------------------------------------------------------------------
+// The data access of a write is seq_cst, so (as with plain std::atomic) it
+// is globally visible before the thread's later loads; the orec release
+// after it may stay buffered.
 
 template <class T>
 T nt_load(const std::atomic<T>& a) {
-  detail::check_type<T>();
-  auto& clock = global_clock();
-  for (;;) {
-    std::uint64_t c1 = detail::await_even_clock();
-    T v = a.load(std::memory_order_seq_cst);
-    if (clock.load(std::memory_order_seq_cst) == c1) return v;
-  }
+  std::uint64_t w = 0;
+  return detail::stable_read(a, detail::orec_of(&a), w);
 }
 
 template <class T>
 void nt_store(std::atomic<T>& a, T v) {
-  detail::check_type<T>();
-  std::uint64_t c = detail::lock_clock();
+  Orec& o = detail::orec_of(&a);
+  std::uint64_t w = detail::lock_orec(o);
   a.store(v, std::memory_order_seq_cst);
-  detail::unlock_clock(c);
+  detail::release_orec(o, w);
 }
 
 template <class T>
 bool nt_cas(std::atomic<T>& a, T& expected, T desired) {
-  detail::check_type<T>();
-  std::uint64_t c = detail::lock_clock();
+  Orec& o = detail::orec_of(&a);
+  std::uint64_t w = detail::lock_orec(o);
   bool ok = a.compare_exchange_strong(expected, desired,
                                       std::memory_order_seq_cst);
-  detail::unlock_clock(c);
+  if (ok) {
+    detail::release_orec(o, w);
+  } else {
+    o.store(w, std::memory_order_release);  // nothing written: same version
+  }
   return ok;
 }
 
 template <class T>
 T nt_fetch_add(std::atomic<T>& a, T delta) {
-  detail::check_type<T>();
-  std::uint64_t c = detail::lock_clock();
+  Orec& o = detail::orec_of(&a);
+  std::uint64_t w = detail::lock_orec(o);
   T old = a.fetch_add(delta, std::memory_order_seq_cst);
-  detail::unlock_clock(c);
+  detail::release_orec(o, w);
   return old;
 }
 

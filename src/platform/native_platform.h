@@ -1,8 +1,8 @@
 // NativePlatform: Platform implementation for real threads, backed by
 // std::atomic plus the native HTM facade (RTM when available, SoftHTM
 // otherwise). Under SoftHTM every access is routed through the strongly-
-// atomic accessors (see htm/softhtm.h); under RTM accesses compile to plain
-// std::atomic operations.
+// atomic accessors (see htm/softhtm.h), which touch only the accessed word's
+// orec; under RTM accesses compile to plain std::atomic operations.
 #pragma once
 
 #include <atomic>
@@ -106,9 +106,10 @@ struct NativePlatform {
   static std::jmp_buf& tx_checkpoint() { return htm::checkpoint(); }
   static unsigned char last_user_code() { return htm::last_user_code(); }
 
-  /// Only real RTM gives strong atomicity; under SoftHTM value-based
-  /// validation could be fooled by memory reuse, so epoch reservations are
-  /// NOT elided there (reclaim/epoch.h consults this).
+  /// Only real RTM gives strong atomicity; under SoftHTM a node reused
+  /// through plain init() stores leaves its orecs unchanged, so version
+  /// validation would not see the reuse and epoch reservations are NOT
+  /// elided there (reclaim/epoch.h consults this).
   static bool strongly_atomic() { return htm::strongly_atomic(); }
 
   static std::uint64_t rnd();

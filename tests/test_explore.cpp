@@ -392,6 +392,9 @@ TEST(ExploreFaults, WorkloadRngStreamUntouched) {
 // ---------------------------------------------------------------------------
 
 TEST(ExploreCheck, SkiplistCleanUnderAdversarialSchedules) {
+  // PTO and lock-free updates race on 32 keys: lock-free inserts link upper
+  // levels one CAS at a time, so a concurrent remove can unlink a node while
+  // its inserter is still linking it, and only one of them may retire it.
   auto run_skiplist = [](unsigned threads, int ops, const xp::Options& x) {
     pto::SkipList<SimPlatform> s;
     std::vector<typename pto::SkipList<SimPlatform>::ThreadCtx> ctxs;
@@ -399,16 +402,19 @@ TEST(ExploreCheck, SkiplistCleanUnderAdversarialSchedules) {
     sim::Config cfg;
     cfg.seed = 1;
     cfg.explore = x;
-    sim::run(threads, cfg, [&](unsigned tid) {
+    auto res = sim::run(threads, cfg, [&](unsigned tid) {
       for (int i = 0; i < ops; ++i) {
         auto k = static_cast<std::int64_t>(sim::rnd() % 32);
-        if (i % 2 == 0) {
-          s.insert_pto(ctxs[tid], k);
-        } else {
-          s.remove_pto(ctxs[tid], k);
+        switch (i % 4) {
+          case 0: s.insert_pto(ctxs[tid], k); break;
+          case 1: s.remove_pto(ctxs[tid], k); break;
+          case 2: s.insert_lf(ctxs[tid], k); break;
+          default: s.remove_lf(ctxs[tid], k); break;
         }
       }
     });
+    EXPECT_EQ(res.uaf_count, 0u) << tu::note_failure(x, "use after free");
+    EXPECT_TRUE(s.check_invariants()) << tu::note_failure(x, "invariants");
   };
   // When the process is already env-armed (PTO_CHECK=...), leave the checker
   // on and its findings intact afterwards so the atexit report still covers
@@ -419,7 +425,9 @@ TEST(ExploreCheck, SkiplistCleanUnderAdversarialSchedules) {
   for (const xp::Options& x :
        tu::sweep_policies(tu::test_seed(37), tu::explore_seeds(2), 0.02)) {
     PTO_TRACE_EXPLORE(x);
-    run_skiplist(4, 120, x);
+    // 1000 ops per thread fill each thread's retire batch (64) about twice,
+    // so nodes are really freed while other threads still run.
+    run_skiplist(4, 1000, x);
   }
   auto found = pto::check::findings();
   if (!was_on) {

@@ -1,6 +1,7 @@
 // Native HTM layer: backend probing, SoftHTM transactional semantics
-// (atomicity, rollback, validation, read-own-writes, nesting), the
-// strongly-atomic non-transactional accessors, and real-thread stress.
+// (atomicity, rollback, version validation, snapshot extension, words that
+// share an orec, read-own-writes, nesting), the strongly-atomic
+// non-transactional accessors, and real-thread stress.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -70,14 +71,82 @@ TEST(SoftHtm, ConflictingNtStoreAborts) {
   unsigned s = soft_tx([&] {
     EXPECT_EQ(soft::tx_load(a), 1);
     // Another "thread" (here: same thread via the nt accessor) changes the
-    // value after our read: commit-time validation must fail... but since
-    // our tx has no writes it validates only on clock motion. Force a
-    // write so commit validates.
+    // value after our read: commit-time validation must fail. A read-only
+    // transaction commits at its snapshot without validating, so force a
+    // write to make commit validate.
     soft::tx_store(a, 10);
-    soft::nt_store(a, 2);  // bumps the global clock + changes the value
+    soft::nt_store(a, 2);  // a newer version on a's orec + a new value
   });
   EXPECT_EQ(s, pto::TX_ABORT_CONFLICT);
   EXPECT_EQ(a.load(), 2);  // the nt store survived; the tx did not
+}
+
+TEST(SoftHtm, AbaByNtStoresAbortsCommit) {
+  // x goes 1 -> 2 -> 1 behind the transaction's back. Its value matches the
+  // read again, but its version does not: the commit must not succeed.
+  std::atomic<int> x{1}, y{0};
+  unsigned s = soft_tx([&] {
+    EXPECT_EQ(soft::tx_load(x), 1);
+    soft::nt_store(x, 2);
+    soft::nt_store(x, 1);
+    soft::tx_store(y, 5);
+  });
+  EXPECT_EQ(s, pto::TX_ABORT_CONFLICT);
+  EXPECT_EQ(y.load(), 0);
+}
+
+TEST(SoftHtm, NewerReadExtendsSnapshotOrAborts) {
+  std::atomic<int> x{1}, z{1};
+  // Only z changed since begin: reading it extends the snapshot.
+  unsigned s = soft_tx([&] {
+    EXPECT_EQ(soft::tx_load(x), 1);
+    soft::nt_store(z, 2);
+    EXPECT_EQ(soft::tx_load(z), 2);
+  });
+  EXPECT_EQ(s, pto::TX_STARTED);
+  // x changed too: z's new value must never be returned beside the old x.
+  s = soft_tx([&] {
+    EXPECT_EQ(soft::tx_load(x), 1);
+    soft::nt_store(x, 3);
+    soft::nt_store(z, 4);
+    int zv = soft::tx_load(z);
+    ADD_FAILURE() << "read z=" << zv << " after x=1";
+  });
+  EXPECT_EQ(s, pto::TX_ABORT_CONFLICT);
+}
+
+TEST(SoftHtm, WordsSharingAnOrecCommit) {
+  // buf[0] and buf[n] are different words on the same orec.
+  const std::size_t n = std::size_t{1} << soft::detail::kOrecBits;
+  std::vector<std::atomic<std::uint64_t>> buf(n + 1);
+  auto& x = buf[0];
+  auto& y = buf[n];
+  ASSERT_EQ(&soft::detail::orec_of(&x), &soft::detail::orec_of(&y));
+  // Both written: the commit must not wait on its own lock.
+  EXPECT_EQ(soft_tx([&] {
+              soft::tx_store(x, std::uint64_t{1});
+              soft::tx_store(y, std::uint64_t{2});
+            }),
+            pto::TX_STARTED);
+  EXPECT_EQ(x.load(), 1u);
+  EXPECT_EQ(y.load(), 2u);
+  // x read, y written: the read validates against the orec the commit holds.
+  EXPECT_EQ(soft_tx([&] { soft::tx_store(y, soft::tx_load(x) + 10); }),
+            pto::TX_STARTED);
+  EXPECT_EQ(y.load(), 11u);
+}
+
+TEST(SoftHtm, FailedNtCasKeepsReadersValid) {
+  std::atomic<int> x{1}, y{0};
+  unsigned s = soft_tx([&] {
+    EXPECT_EQ(soft::tx_load(x), 1);
+    int expect = 7;
+    EXPECT_FALSE(soft::nt_cas(x, expect, 9));  // wrote nothing
+    EXPECT_EQ(expect, 1);
+    soft::tx_store(y, 5);  // make commit validate the read of x
+  });
+  EXPECT_EQ(s, pto::TX_STARTED);
+  EXPECT_EQ(y.load(), 5);
 }
 
 TEST(SoftHtm, FlatNesting) {
@@ -103,6 +172,31 @@ TEST(SoftHtm, NtAccessorsAreLinearizable) {
   expect = 7;
   EXPECT_FALSE(soft::nt_cas(x, expect, std::uint64_t{9}));
   EXPECT_EQ(expect, 8u);
+}
+
+TEST(SoftHtm, RealThreadsNtRmwOnSharedOrec) {
+  // Threads increment x with fetch_add and y (x's orec) with CAS loops; no
+  // update may be lost while both words contend for one lock.
+  const std::size_t n = std::size_t{1} << soft::detail::kOrecBits;
+  std::vector<std::atomic<std::uint64_t>> buf(n + 1);
+  auto& x = buf[0];
+  auto& y = buf[n];
+  constexpr int kThreads = 4;
+  constexpr int kIters = 20'000;
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&] {
+      for (int i = 0; i < kIters; ++i) {
+        soft::nt_fetch_add(x, std::uint64_t{1});
+        std::uint64_t cur = soft::nt_load(y);
+        while (!soft::nt_cas(y, cur, cur + 1)) {
+        }
+      }
+    });
+  }
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(soft::nt_load(x), std::uint64_t{kThreads * kIters});
+  EXPECT_EQ(soft::nt_load(y), std::uint64_t{kThreads * kIters});
 }
 
 TEST(SoftHtm, RealThreadsMultiWordInvariant) {
