@@ -9,85 +9,36 @@
 
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 
 #include "benchutil/runner.h"
 #include "benchutil/series.h"
-#include "metrics/metrics.h"
 #include "sim/sim.h"
-#include "telemetry/emit.h"
-#include "telemetry/prof.h"
-#include "telemetry/registry.h"
 
 namespace pto::bench {
 
 /// One variant of one benchmark: fresh structure per trial, sequential
 /// prefill on the host, measured multi-threaded simulation, teardown +
-/// arena reset.
+/// arena reset (all per trial, by measure_point).
 ///
 /// `factory()` allocates a fixture; the fixture must provide:
 ///   void prefill(std::uint64_t seed);
 ///   void thread_body(unsigned tid, std::uint64_t ops);  // calls op_done
-struct VariantResult {
-  std::vector<double> ops_per_ms;  // indexed by xs
-};
-
 template <class Fixture>
 void run_variant(Figure& fig, const RunnerOptions& opts,
                  const sim::Config& base_cfg, const std::string& name,
                  const std::function<Fixture*()>& factory) {
   Series& s = fig.add_series(name);
-  // With PTO_STATS set, each point also emits a structured record carrying
-  // the full abort/fallback breakdown; otherwise output is unchanged.
-  const bool emit =
-      telemetry::stats_format() != telemetry::StatsFormat::kOff;
-  // With PTO_PROF set, the profiler accumulates this variant into its own
-  // scope so the end-of-run report answers "where did the speedup come from"
-  // per series.
-  if (telemetry::prof::on()) {
-    telemetry::prof::set_scope(fig.id + "/" + name);
-  }
+  const auto make_trial = [&](std::uint64_t seed) -> TrialBody {
+    std::shared_ptr<Fixture> f(factory());
+    f->prefill(seed ^ 0xABCDEF);
+    return [f](unsigned tid, std::uint64_t ops) { f->thread_body(tid, ops); };
+  };
   for (int threads : fig.xs) {
-    double sum = 0.0;
-    telemetry::BenchPoint pt;
-    PrefixStats reg_before;
-    if (emit) {
-      reg_before = telemetry::registry_totals();
-      pt.ts_start = telemetry::iso8601_now();
-    }
-    const std::uint64_t intervals_before = metrics::intervals_emitted();
-    metrics::set_point_labels(fig.id.c_str(), name.c_str(),
-                              static_cast<unsigned>(threads));
-    for (unsigned trial = 0; trial < opts.trials; ++trial) {
-      sim::Config cfg = base_cfg;
-      cfg.seed = opts.base_seed + 7919ull * trial + 131ull * threads;
-      Fixture* f = factory();
-      f->prefill(cfg.seed ^ 0xABCDEF);
-      auto res = sim::run(static_cast<unsigned>(threads), cfg,
-                          [&](unsigned tid) {
-                            f->thread_body(tid, opts.ops_per_thread);
-                          });
-      sum += res.ops_per_msec();
-      if (emit) {
-        pt.sim.accumulate(res.totals());
-        pt.makespan += res.makespan();
-        for (auto c : res.clocks) pt.cpu_cycles += c;
-      }
-      delete f;
-      sim::reset_memory();
-    }
-    s.y.push_back(sum / opts.trials);
-    if (emit) {
-      pt.bench = fig.id;
-      pt.series = name;
-      pt.threads = static_cast<unsigned>(threads);
-      pt.trials = opts.trials;
-      pt.ops_per_ms = s.y.back();
-      pt.prefix = telemetry::registry_delta(reg_before);
-      pt.ts_end = telemetry::iso8601_now();
-      pt.intervals = metrics::intervals_emitted() - intervals_before;
-      telemetry::emit_bench_point(pt);
-    }
+    s.y.push_back(measure_point(opts, static_cast<unsigned>(threads),
+                                base_cfg, make_trial, fig.id.c_str(),
+                                name.c_str()));
     std::cerr << "  " << name << " t=" << threads << " done\r" << std::flush;
   }
   std::cerr << "                                        \r";

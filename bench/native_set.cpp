@@ -18,12 +18,12 @@
 // the host gives us, so absolute numbers are machine-dependent; the emitted
 // records carry everything needed to compare runs (provenance + percentiles).
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 
 #include "benchutil/native_runner.h"
 #include "benchutil/series.h"
+#include "common/env.h"
 #include "common/rng.h"
 #include "ds/skiplist/skiplist.h"
 #include "obs/obs.h"
@@ -39,13 +39,6 @@ namespace pb = pto::bench;
 /// skiplists and longer ops — the obs-overhead CI gate uses a large range so
 /// the fixed per-op instrumentation cost is measured against realistic work,
 /// not a toy 10-node traversal.
-int range_from_env() {
-  const char* v = std::getenv("PTO_BENCH_RANGE");
-  if (v == nullptr || *v == '\0') return 512;
-  const long n = std::strtol(v, nullptr, 10);
-  return n > 1 ? static_cast<int>(n) : 512;
-}
-
 int g_range = 512;
 
 std::function<std::function<void(unsigned, std::uint64_t)>()> fixture(
@@ -105,7 +98,8 @@ std::function<std::function<void(unsigned, std::uint64_t)>()> fixture(
 
 int main() {
   const pb::RunnerOptions opts = pb::RunnerOptions::from_env();
-  g_range = range_from_env();
+  g_range =
+      static_cast<int>(pto::env::integer(pto::env::Id::kBenchRange, 512));
   pb::Figure fig;
   fig.id = "native_set";
   fig.title = "Native skiplist (real threads, wall-clock)";

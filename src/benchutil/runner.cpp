@@ -1,8 +1,6 @@
 #include "benchutil/runner.h"
 
-#include <cstdlib>
-#include <cstring>
-
+#include "common/env.h"
 #include "common/warn.h"
 #include "explore/explore.h"
 #include "metrics/metrics.h"
@@ -12,29 +10,13 @@
 
 namespace pto::bench {
 
-namespace {
-std::uint64_t env_u64(const char* name, std::uint64_t dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return dflt;
-  char* end = nullptr;
-  auto parsed = std::strtoull(v, &end, 10);
-  if (end != v && *end == '\0' && parsed > 0) return parsed;
-  // A malformed or zero knob silently reverting to the default makes sweep
-  // misconfigurations invisible; warn once per variable.
-  warn_once(name,
-            "ignoring invalid %s='%s' (want a positive integer); using "
-            "default %llu",
-            name, v, static_cast<unsigned long long>(dflt));
-  return dflt;
-}
-}  // namespace
-
 RunnerOptions RunnerOptions::from_env() {
   RunnerOptions o;
-  o.ops_per_thread = env_u64("PTO_BENCH_OPS", o.ops_per_thread);
-  o.trials = static_cast<unsigned>(env_u64("PTO_BENCH_TRIALS", o.trials));
+  o.ops_per_thread = env::integer(env::Id::kBenchOps, o.ops_per_thread);
+  o.trials =
+      static_cast<unsigned>(env::integer(env::Id::kBenchTrials, o.trials));
   o.max_threads =
-      static_cast<unsigned>(env_u64("PTO_BENCH_MAXT", o.max_threads));
+      static_cast<unsigned>(env::integer(env::Id::kBenchMaxt, o.max_threads));
   if (o.max_threads > kMaxThreads) {
     // Passing the clamped value on to sim::run would throw mid-sweep; clamp
     // here with a warning so a fat-fingered sweep still produces data.
@@ -44,17 +26,7 @@ RunnerOptions RunnerOptions::from_env() {
               o.max_threads, kMaxThreads, kMaxThreads);
     o.max_threads = kMaxThreads;
   }
-  if (const char* v = std::getenv("PTO_BENCH_SWEEP");
-      v != nullptr && *v != '\0') {
-    if (std::strcmp(v, "geom") == 0) {
-      o.geometric_sweep = true;
-    } else if (std::strcmp(v, "dense") != 0) {
-      warn_once("env.PTO_BENCH_SWEEP",
-                "ignoring invalid PTO_BENCH_SWEEP='%s' (want dense|geom); "
-                "using dense",
-                v);
-    }
-  }
+  o.geometric_sweep = env::choice(env::Id::kBenchSweep, 0) == 1;  // dense|geom
   return o;
 }
 
@@ -73,11 +45,23 @@ std::vector<int> sweep_threads(const RunnerOptions& opts) {
   return xs;
 }
 
-double measure_point(
-    const RunnerOptions& opts, unsigned threads, const sim::Config& base_cfg,
-    const std::function<std::function<void(unsigned, std::uint64_t)>()>&
-        make_fixture,
-    const char* bench, const char* series) {
+sim::Config trial_config(const RunnerOptions& opts, const sim::Config& base_cfg,
+                         const explore::Options& xbase, unsigned threads,
+                         unsigned trial) {
+  sim::Config cfg = base_cfg;
+  cfg.seed = opts.base_seed + 7919ull * trial + 131ull * threads;
+  if (xbase.policy == explore::Policy::kPCT ||
+      xbase.policy == explore::Policy::kRandom) {
+    cfg.explore = xbase;
+    cfg.explore.seed = explore::derive_seed(xbase.seed, cfg.seed);
+  }
+  return cfg;
+}
+
+double measure_point(const RunnerOptions& opts, unsigned threads,
+                     const sim::Config& base_cfg,
+                     const std::function<TrialBody(std::uint64_t)>& make_trial,
+                     const char* bench, const char* series) {
   const bool emit =
       telemetry::stats_format() != telemetry::StatsFormat::kOff &&
       bench != nullptr;
@@ -98,22 +82,14 @@ double measure_point(
   const std::uint64_t intervals_before = metrics::intervals_emitted();
   metrics::set_point_labels(bench, series, threads);
   double sum = 0.0;
-  // Resolve the exploration policy once per point: each trial then derives
-  // its own schedule seed from the resolved base, the same way workload
-  // seeds are derived — multi-trial sweeps under PTO_SCHED=pct/rand stay a
-  // pure function of (options, env) while every trial explores a distinct
-  // interleaving.
+  // Resolve the exploration policy once per point; trial_config derives
+  // each trial's schedule seed from it, so multi-trial sweeps under
+  // PTO_SCHED=pct/rand stay a pure function of (options, env) while every
+  // trial explores a distinct interleaving.
   const explore::Options xbase = explore::resolved(base_cfg.explore);
   for (unsigned trial = 0; trial < opts.trials; ++trial) {
-    sim::Config cfg = base_cfg;
-    cfg.seed = opts.base_seed + 1000003ull * trial + threads;
-    cfg.explore = xbase;
-    if (xbase.policy == explore::Policy::kPCT ||
-        xbase.policy == explore::Policy::kRandom) {
-      cfg.explore.seed =
-          explore::derive_seed(xbase.seed, 1000003ull * trial + threads);
-    }
-    auto body = make_fixture();
+    const sim::Config cfg = trial_config(opts, base_cfg, xbase, threads, trial);
+    TrialBody body = make_trial(cfg.seed);
     auto res = sim::run(threads, cfg, [&](unsigned tid) {
       body(tid, opts.ops_per_thread);
     });
@@ -123,6 +99,8 @@ double measure_point(
       pt.makespan += res.makespan();
       for (auto c : res.clocks) pt.cpu_cycles += c;
     }
+    body = nullptr;  // tear the trial's structure down before the arena goes
+    sim::reset_memory();
   }
   const double mean = sum / opts.trials;
   if (emit) {

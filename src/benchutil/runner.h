@@ -1,15 +1,8 @@
 // Simulator bench runner: thread sweeps, trial averaging, and environment
 // knobs shared by every figure binary.
 //
-//   PTO_BENCH_OPS    operations per virtual thread per trial (default 6000)
-//   PTO_BENCH_TRIALS trials averaged per point (default 3; the sim is
-//                    deterministic, so only the seeds differ between trials)
-//   PTO_BENCH_MAXT   maximum thread count in sweeps (default 8, capped at
-//                    the simulator limit of 1024 virtual threads)
-//   PTO_BENCH_SWEEP  sweep density: "dense" (every count 1..MAXT, default)
-//                    or "geom" (1, 2, 4, ... doubling, plus MAXT) — the only
-//                    practical shape for MAXT in the hundreds, where a dense
-//                    sweep is MAXT simulations per series
+// RunnerOptions::from_env reads PTO_BENCH_OPS / _TRIALS / _MAXT / _SWEEP
+// (README's environment table).
 //
 // With PTO_STATS=json|csv each measured point additionally emits a
 // structured record (telemetry/emit.h) carrying the full abort/fallback
@@ -20,6 +13,7 @@
 #include <functional>
 #include <vector>
 
+#include "explore/explore.h"
 #include "sim/sim.h"
 
 namespace pto::bench {
@@ -39,17 +33,28 @@ struct RunnerOptions {
 /// (1, 2, 4, ..., plus max_threads itself) when geometric_sweep is set.
 std::vector<int> sweep_threads(const RunnerOptions& opts);
 
-/// One measured point: run `body(tid, ops)` on `threads` virtual threads for
-/// each trial (distinct seeds) and return mean throughput in ops/ms.
-/// `make_fixture` runs before each trial (single-threaded, on the host) and
-/// returns a callable executed per virtual thread.
+/// The simulation config of one trial of a point: `base_cfg` with workload
+/// seed base_seed + 7919*trial + 131*threads. Under PTO_SCHED=pct|rand
+/// (`xbase`, the point's resolved exploration policy) each trial also gets
+/// its own schedule seed; under rr the explore options stay `base_cfg`'s.
+sim::Config trial_config(const RunnerOptions& opts, const sim::Config& base_cfg,
+                         const explore::Options& xbase, unsigned threads,
+                         unsigned trial);
+
+/// Per-trial workload: built on the host from the trial's seed, then run as
+/// `body(tid, ops)` on each virtual thread.
+using TrialBody = std::function<void(unsigned, std::uint64_t)>;
+
+/// One measured point: for each trial, build `make_trial(seed)`, run it on
+/// `threads` virtual threads, destroy it and reset simulated memory; return
+/// the mean throughput in ops/ms.
 ///
 /// When `bench`/`series` labels are given and PTO_STATS is active, the point
-/// also emits a structured telemetry record.
-double measure_point(
-    const RunnerOptions& opts, unsigned threads, const sim::Config& base_cfg,
-    const std::function<std::function<void(unsigned, std::uint64_t)>()>&
-        make_fixture,
-    const char* bench = nullptr, const char* series = nullptr);
+/// also emits a structured telemetry record; under PTO_PROF the point is
+/// profiled in scope "bench/series".
+double measure_point(const RunnerOptions& opts, unsigned threads,
+                     const sim::Config& base_cfg,
+                     const std::function<TrialBody(std::uint64_t)>& make_trial,
+                     const char* bench = nullptr, const char* series = nullptr);
 
 }  // namespace pto::bench

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/defs.h"
+#include "common/env.h"
 #include "htm/txcode.h"
 #include "sim/sim.h"
 #include "telemetry/registry.h"
@@ -56,7 +57,6 @@ struct TxRead {
 
 struct PoisonEntry {
   std::uint64_t value;      ///< the pointer-looking doomed-read value
-  std::uintptr_t origin;    ///< address the doomed transaction read it from
   unsigned victim_tid;
   unsigned depth;           ///< span depth at doom time (scoping, see below)
   std::string site;         ///< attribution of the doomed transaction
@@ -152,26 +152,15 @@ struct CheckState {
   bool report_at_exit = false;
 
   CheckState() {
-    if (const char* v = std::getenv("PTO_CHECK"); v != nullptr && *v != '\0') {
-      if (std::strcmp(v, "report") == 0) {
-        full_report = true;
-      } else if (std::strcmp(v, "1") != 0 && std::strcmp(v, "on") != 0) {
-        std::fprintf(stderr,
-                     "PTO_CHECK=%s not recognized (1|report); checking on\n",
-                     v);
-      }
+    // PTO_CHECK=0|1|on|report: any but 0 arms the checker.
+    if (const unsigned mode = env::choice(env::Id::kCheck, 0); mode != 0) {
+      full_report = mode == 3;
       detail::g_on.store(true, std::memory_order_relaxed);
       report_at_exit = true;
     }
-    if (const char* v = std::getenv("PTO_CHECK_OUT");
-        v != nullptr && *v != '\0') {
-      out_path = v;
-    }
-    if (const char* v = std::getenv("PTO_CHECK_MAX")) {
-      char* end = nullptr;
-      auto parsed = std::strtoull(v, &end, 10);
-      if (end != v && parsed > 0) max_findings = static_cast<unsigned>(parsed);
-    }
+    out_path = env::text(env::Id::kCheckOut);
+    max_findings = static_cast<unsigned>(
+        env::integer(env::Id::kCheckMax, max_findings));
   }
 };
 
@@ -298,14 +287,6 @@ void check_poison(CheckState& S, ThreadState& t, unsigned tid,
   for (std::size_t i = 0; i < t.poison.size();) {
     PoisonEntry& p = t.poison[i];
     if (addr / kCacheLine == p.value / kCacheLine) {
-      if (std::getenv("PTO_CHECK_DEBUG")) {
-        std::fprintf(stderr,
-                     "[dbg] deref t%u addr=%p poison value=%p origin=%p "
-                     "is_store=%d\n",
-                     tid, reinterpret_cast<void*>(addr),
-                     reinterpret_cast<void*>(p.value),
-                     reinterpret_cast<void*>(p.origin), is_store ? 1 : 0);
-      }
       add_finding(S, FindingKind::kDoomedAddressUse, addr, p.victim_tid, tid,
                   p.site, cur_site_name(t));
     }
@@ -588,12 +569,7 @@ void on_tx_doomed(unsigned victim, std::uintptr_t line) {
       }
     }
     if (dup || t.poison.size() >= kPoisonCap) continue;
-    if (std::getenv("PTO_CHECK_DEBUG")) {
-      std::fprintf(stderr, "[dbg] poison t%u depth=%u site=%s value=%p\n",
-                   victim, t.depth, site.c_str(),
-                   reinterpret_cast<void*>(r.value));
-    }
-    t.poison.push_back(PoisonEntry{r.value, r.addr, victim, t.depth, site});
+    t.poison.push_back(PoisonEntry{r.value, victim, t.depth, site});
     ++S.st.poisoned_values;
   }
   t.tx_log.clear();

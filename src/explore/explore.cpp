@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/env.h"
 #include "common/warn.h"
 
 namespace pto::explore {
@@ -93,8 +94,8 @@ Options resolved(const Options& o) {
   Options r = o;
   if (r.policy == Policy::kEnv) {
     r.policy = Policy::kRR;
-    const char* s = std::getenv("PTO_SCHED");
-    if (s != nullptr && *s != '\0' && !parse_sched(s, r)) {
+    const char* s = env::text(env::Id::kSched);
+    if (*s != '\0' && !parse_sched(s, r)) {
       warn_once("env.PTO_SCHED",
                 "ignoring invalid PTO_SCHED='%s' (want rr | "
                 "pct:<seed>[:d[:k]] | rand:<seed> | replay:<file>); using rr",
@@ -102,8 +103,8 @@ Options resolved(const Options& o) {
     }
   }
   if (r.fault_rate == 0.0) {
-    const char* f = std::getenv("PTO_HTM_FAULTS");
-    if (f != nullptr && *f != '\0' && !parse_faults(f, r)) {
+    const char* f = env::text(env::Id::kHtmFaults);
+    if (*f != '\0' && !parse_faults(f, r)) {
       warn_once("env.PTO_HTM_FAULTS",
                 "ignoring invalid PTO_HTM_FAULTS='%s' (want <seed>:<rate> "
                 "with rate in [0,1])",

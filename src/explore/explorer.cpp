@@ -1,10 +1,10 @@
 #include "explore/explorer.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/defs.h"
+#include "common/env.h"
+#include "common/warn.h"
 
 namespace pto::explore::internal {
 
@@ -49,12 +49,10 @@ Explorer::Explorer(const Options& opts, unsigned nthreads) : opts_(opts) {
       std::fclose(f);
     }
   }
-  if (const char* path = std::getenv("PTO_SCHED_DUMP");
-      path != nullptr && *path != '\0') {
+  if (const char* path = env::text(env::Id::kSchedDump); *path != '\0') {
     dump_ = std::fopen(path, "w");
     if (dump_ == nullptr) {
-      std::fprintf(stderr, "[pto] warning: cannot open PTO_SCHED_DUMP='%s'\n",
-                   path);
+      warn_once("env.PTO_SCHED_DUMP", "cannot open PTO_SCHED_DUMP='%s'", path);
     } else {
       std::fprintf(dump_, "# %s\n# step tid\n", token(opts_).c_str());
       std::fflush(dump_);

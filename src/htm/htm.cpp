@@ -1,7 +1,7 @@
 #include "htm/htm.h"
 
-#include <cstdlib>
-#include <cstring>
+#include "common/env.h"
+#include "common/warn.h"
 
 #if defined(PTO_HAVE_RTM)
 #include <cpuid.h>
@@ -37,14 +37,16 @@ bool rtm_actually_commits() {
 #endif
 
 Backend probe_backend() {
-  if (const char* env = std::getenv("PTO_HTM")) {
-    if (std::strcmp(env, "soft") == 0) return Backend::kSoft;
+  const unsigned forced = env::choice(env::Id::kHtm, 2);  // rtm|soft; 2 = probe
+  if (forced == 1) return Backend::kSoft;
 #if defined(PTO_HAVE_RTM)
-    if (std::strcmp(env, "rtm") == 0) return Backend::kRTM;
-#endif
-  }
-#if defined(PTO_HAVE_RTM)
+  if (forced == 0) return Backend::kRTM;
   if (cpu_has_rtm() && rtm_actually_commits()) return Backend::kRTM;
+#else
+  if (forced == 0) {
+    warn_once("env.PTO_HTM",
+              "PTO_HTM=rtm needs a build with RTM support; using soft");
+  }
 #endif
   return Backend::kSoft;
 }

@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "common/buildinfo.h"
+#include "common/env.h"
 #include "common/gauges.h"
+#include "common/json.h"
 #include "common/warn.h"
 #include "obs/obs.h"
 #include "obs/tsc.h"
@@ -115,33 +117,6 @@ void j_i64(std::string& o, std::int64_t v) {
   char b[24];
   std::snprintf(b, sizeof b, "%lld", static_cast<long long>(v));
   o += b;
-}
-
-void j_dbl(std::string& o, double v) {
-  char b[32];
-  std::snprintf(b, sizeof b, "%.6g", v);
-  o += b;
-}
-
-void j_str(std::string& o, const std::string& v) {
-  o += '"';
-  for (char c : v) {
-    switch (c) {
-      case '"': o += "\\\""; break;
-      case '\\': o += "\\\\"; break;
-      case '\n': o += "\\n"; break;
-      case '\t': o += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char b[8];
-          std::snprintf(b, sizeof b, "\\u%04x", c);
-          o += b;
-        } else {
-          o += c;
-        }
-    }
-  }
-  o += '"';
 }
 
 // --------------------------------------------------------------------------
@@ -353,16 +328,16 @@ void emit_watch(State& s, const Rule& r, double value, bool wall_mode) {
   o += ",\"rule\":\"";
   o += rule_name(r.kind);
   o += "\",\"value\":";
-  j_dbl(o, value);
+  json::put_num(o, value);
   o += ",\"threshold\":";
-  j_dbl(o, r.threshold);
+  json::put_num(o, r.threshold);
   o += ",\"mode\":";
   o += wall_mode ? "\"wall\"" : "\"sim\"";
   if (!s.bench.empty()) {
     o += ",\"bench\":";
-    j_str(o, s.bench);
+    json::put_str(o, s.bench);
     o += ",\"series\":";
-    j_str(o, s.series);
+    json::put_str(o, s.series);
   }
   o += "}\n";
   out_write(s, o);
@@ -420,9 +395,9 @@ void emit_interval(State& s, bool wall_mode, double t0_ms, double t1_ms,
   o += ",\"mode\":";
   if (wall_mode) {
     o += "\"wall\",\"t0_ms\":";
-    j_dbl(o, t0_ms);
+    json::put_num(o, t0_ms);
     o += ",\"t1_ms\":";
-    j_dbl(o, t1_ms);
+    json::put_num(o, t1_ms);
   } else {
     o += "\"sim\",\"run\":";
     j_u64(o, s.sim_run_id);
@@ -432,9 +407,9 @@ void emit_interval(State& s, bool wall_mode, double t0_ms, double t1_ms,
     j_u64(o, vt1);
   }
   o += ",\"bench\":";
-  j_str(o, s.bench);
+  json::put_str(o, s.bench);
   o += ",\"series\":";
-  j_str(o, s.series);
+  json::put_str(o, s.series);
   o += ",\"threads\":";
   j_u64(o, s.threads);
   o += ",\"prefix\":{\"attempts\":";
@@ -455,14 +430,14 @@ void emit_interval(State& s, bool wall_mode, double t0_ms, double t1_ms,
   j_u64(o, d.prefix.total_aborts());
   o += "},\"fallback_rate\":";
   const std::uint64_t done = d.prefix.commits + d.prefix.fallbacks;
-  j_dbl(o, done == 0 ? 0.0
-                     : static_cast<double>(d.prefix.fallbacks) /
-                           static_cast<double>(done));
+  json::put_num(o, done == 0 ? 0.0
+                             : static_cast<double>(d.prefix.fallbacks) /
+                                   static_cast<double>(done));
   o += ",\"sites\":[";
   for (std::size_t i = 0; i < d.sites.size(); ++i) {
     if (i != 0) o += ',';
     o += "{\"site\":";
-    j_str(o, d.sites[i].first);
+    json::put_str(o, d.sites[i].first);
     o += ",\"attempts\":";
     j_u64(o, d.sites[i].second.attempts);
     o += ",\"commits\":";
@@ -521,13 +496,13 @@ void emit_meta(State& s) {
   o += "{\"type\":\"metrics_meta\",\"schema\":1,\"interval_ms\":";
   j_u64(o, s.cfg.interval_ms);
   o += ",\"git_sha\":";
-  j_str(o, build_git_sha());
+  json::put_str(o, build_git_sha());
   o += ",\"build_type\":";
-  j_str(o, build_type());
+  json::put_str(o, build_type());
   o += ",\"hostname\":";
-  j_str(o, telemetry::host_name());
+  json::put_str(o, telemetry::host_name());
   o += ",\"started\":";
-  j_str(o, telemetry::iso8601_now());
+  json::put_str(o, telemetry::iso8601_now());
   o += "}\n";
   out_write(s, o);
 }
@@ -577,9 +552,9 @@ void metrics_warn_sink(const char* key, const char* msg) {
   o += "{\"type\":\"warning\",\"schema\":1,\"seq\":";
   j_u64(o, ++s.seq);
   o += ",\"key\":";
-  j_str(o, key);
+  json::put_str(o, key);
   o += ",\"msg\":";
-  j_str(o, msg);
+  json::put_str(o, msg);
   o += "}\n";
   out_write(s, o);
 }
@@ -587,11 +562,6 @@ void metrics_warn_sink(const char* key, const char* msg) {
 // --------------------------------------------------------------------------
 // Environment parsing and process-exit hook.
 // --------------------------------------------------------------------------
-
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
 
 std::vector<Rule> parse_watch(const std::string& spec) {
   std::vector<Rule> out;
@@ -633,21 +603,6 @@ std::vector<Rule> parse_watch(const std::string& spec) {
   return out;
 }
 
-std::uint64_t parse_interval_env() {
-  const char* v = std::getenv("PTO_METRICS");
-  if (v == nullptr || *v == '\0') return 0;
-  char* end = nullptr;
-  const auto ms = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0' || ms == 0) {
-    warn_once("env.PTO_METRICS",
-              "ignoring invalid PTO_METRICS='%s' (want a positive interval "
-              "in milliseconds)",
-              v);
-    return 0;
-  }
-  return ms;
-}
-
 void at_exit_flush() {
   State& s = st();
   stop_sampler(s);
@@ -666,15 +621,11 @@ void at_exit_flush() {
 /// runs after (atexit is LIFO) the other observability exit dumps.
 const bool g_env_armed = [] {
   Config c;
-  c.interval_ms = parse_interval_env();
-  if (const char* v = std::getenv("PTO_METRICS_OUT"); v != nullptr) {
-    c.out_path = v;
-  }
-  if (const char* v = std::getenv("PTO_METRICS_PROM"); v != nullptr) {
-    c.prom_path = v;
-  }
-  if (const char* v = std::getenv("PTO_WATCH"); v != nullptr) c.watch = v;
-  c.strict = env_truthy("PTO_WATCH_STRICT");
+  c.interval_ms = env::integer(env::Id::kMetrics, 0);
+  c.out_path = env::text(env::Id::kMetricsOut);
+  c.prom_path = env::text(env::Id::kMetricsProm);
+  c.watch = env::text(env::Id::kWatch);
+  c.strict = env::flag(env::Id::kWatchStrict, false);
   if (!c.watch.empty() && c.interval_ms == 0) {
     warn_once("env.PTO_WATCH",
               "PTO_WATCH set without PTO_METRICS=<ms>; watchdog rules "
@@ -820,7 +771,7 @@ void flush() {
   o += ",\"violations\":";
   j_u64(o, s.violations.load(std::memory_order_relaxed));
   o += ",\"ended\":";
-  j_str(o, telemetry::iso8601_now());
+  json::put_str(o, telemetry::iso8601_now());
   o += "}\n";
   out_write(s, o);
   write_prom(s);

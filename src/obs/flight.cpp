@@ -1,5 +1,6 @@
 #include "obs/flight.h"
 
+#include "common/env.h"
 #include "common/warn.h"
 
 #include <atomic>
@@ -47,20 +48,6 @@ namespace {
 constexpr unsigned kMaxRings = 256;   // live native threads with rings
 constexpr unsigned kMaxSites = 1024;  // telemetry sites in the name table
 
-std::uint32_t env_capacity() {
-  const char* v = std::getenv("PTO_FLIGHT");
-  if (v == nullptr || *v == '\0') return 0;
-  char* end = nullptr;
-  unsigned long n = std::strtoul(v, &end, 10);
-  if (end == v || *end != '\0' || n == 0) {
-    warn_once("env.PTO_FLIGHT",
-              "ignoring invalid PTO_FLIGHT='%s' (want a positive event count)",
-              v);
-    return 0;
-  }
-  return static_cast<std::uint32_t>(n);
-}
-
 /// Fixed arrays with atomic publication counters: the dump path (which may
 /// run inside a fatal-signal handler) walks them without locking.
 struct FlightState {
@@ -69,6 +56,9 @@ struct FlightState {
   FlightRing* rings[kMaxRings] = {};
   std::atomic<unsigned> site_count{0};
   const char* site_names[kMaxSites] = {};
+  /// PTO_FLIGHT_OUT, latched when PTO_FLIGHT arms: the fatal-signal dump
+  /// must not call getenv.
+  char out_path[4096] = "pto_flight.bin";
 };
 
 FlightState g_state;
@@ -76,8 +66,12 @@ FlightState g_state;
 void install_dump_handlers();
 
 std::uint32_t init_capacity() {
-  const std::uint32_t cap = env_capacity();
+  const auto cap =
+      static_cast<std::uint32_t>(env::integer(env::Id::kFlight, 0));
   if (cap != 0) {
+    if (const char* path = env::text(env::Id::kFlightOut); *path != '\0') {
+      std::snprintf(g_state.out_path, sizeof g_state.out_path, "%s", path);
+    }
     // Calibrate now: the signal-time dump must not spin for 10 ms.
     ticks_per_sec();
     install_dump_handlers();
@@ -221,9 +215,7 @@ void flight_register_site(unsigned id, const char* name) {
 void flight_dump() {
   if (!flight_on()) return;
   if (g_dumped.exchange(true)) return;  // once: atexit after a fatal signal
-  const char* path = std::getenv("PTO_FLIGHT_OUT");
-  if (path == nullptr || *path == '\0') path = "pto_flight.bin";
-  int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  int fd = ::open(g_state.out_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return;
   dump_to_fd(fd);
   ::close(fd);

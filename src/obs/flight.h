@@ -102,8 +102,9 @@ void flight_record(std::uint16_t site, std::uint8_t event, std::uint32_t arg);
 /// (telemetry sites are never destroyed).
 void flight_register_site(unsigned id, const char* name);
 
-/// Write every ring to PTO_FLIGHT_OUT. Async-signal-safe (open/write only);
-/// also installed as the atexit + fatal-signal handler when armed.
+/// Write every ring to PTO_FLIGHT_OUT (latched when PTO_FLIGHT arms).
+/// Async-signal-safe (open/write only); also installed as the atexit +
+/// fatal-signal handler when armed.
 void flight_dump();
 
 }  // namespace pto::obs

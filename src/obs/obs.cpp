@@ -2,39 +2,19 @@
 
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
+
+#include "common/env.h"
 
 namespace pto::obs {
 
 namespace detail {
 
-namespace {
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
-std::uint64_t env_sample_mask() {
-  const char* v = std::getenv("PTO_OBS_SAMPLE");
-  if (v == nullptr || *v == '\0') return 0;
-  char* end = nullptr;
-  unsigned long k = std::strtoul(v, &end, 10);
-  if (end == v || *end != '\0' || k == 0) {
-    std::fprintf(stderr,
-                 "[pto] warning: ignoring invalid PTO_OBS_SAMPLE='%s' "
-                 "(want a positive sample period)\n",
-                 v);
-    return 0;
-  }
-  return std::bit_ceil(static_cast<std::uint64_t>(k)) - 1;
-}
-}  // namespace
-
-bool g_hist_on = env_truthy("PTO_OBS");
-std::uint64_t g_sample_mask = env_sample_mask();
+bool g_hist_on = env::flag(env::Id::kObs, false);
+// PTO_OBS_SAMPLE=k times 1 in bit_ceil(k) ops: a mask of bit_ceil(k) - 1.
+std::uint64_t g_sample_mask =
+    std::bit_ceil(env::integer(env::Id::kObsSample, 1)) - 1;
 thread_local std::uint64_t tls_op_seq = 0;
 thread_local std::uint64_t tls_fallbacks = 0;
 

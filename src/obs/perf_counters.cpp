@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/env.h"
 #include "common/warn.h"
 
 #if defined(__linux__)
@@ -111,8 +112,7 @@ int open_counter(std::uint32_t type, std::uint64_t config) {
 
 PerfState init_state() {
   PerfState st;
-  const char* v = std::getenv("PTO_PERF");
-  if (v == nullptr || *v == '\0' || std::strcmp(v, "0") == 0) return st;
+  if (!env::flag(env::Id::kPerf, false)) return st;
 
   auto add = [&st](int fd, std::uint64_t PerfSample::* field) {
     if (fd < 0) return false;
@@ -196,8 +196,7 @@ PerfSample perf_read() {
 
 bool perf_on() {
   static bool warned = [] {
-    const char* v = std::getenv("PTO_PERF");
-    if (v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0) {
+    if (env::flag(env::Id::kPerf, false)) {
       warn_once("env.PTO_PERF", "PTO_PERF is Linux-only; ignoring");
     }
     return true;

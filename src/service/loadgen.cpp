@@ -1,9 +1,8 @@
 #include "service/loadgen.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
+#include "common/env.h"
 #include "common/warn.h"
 
 namespace pto::service {
@@ -13,48 +12,6 @@ namespace {
 /// Uniform double in [0, 1) from the top 53 bits of a SplitMix64 draw.
 double unit_uniform(SplitMix64& rng) {
   return static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t env_u64(const char* name, std::uint64_t dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return dflt;
-  char* end = nullptr;
-  auto parsed = std::strtoull(v, &end, 10);
-  if (end != v && *end == '\0' && parsed > 0) return parsed;
-  warn_once(name,
-            "ignoring invalid %s='%s' (want a positive integer); using "
-            "default %llu",
-            name, v, static_cast<unsigned long long>(dflt));
-  return dflt;
-}
-
-/// Double knob in [lo, hi]; `lo_exclusive_hint` only shapes the message.
-double env_double(const char* name, double dflt, double lo, double hi) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return dflt;
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  if (end != v && *end == '\0' && parsed >= lo && parsed <= hi) return parsed;
-  warn_once(name,
-            "ignoring invalid %s='%s' (want a number in [%g, %g]); using "
-            "default %g",
-            name, v, lo, hi, dflt);
-  return dflt;
-}
-
-unsigned env_pct(const char* name, unsigned dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return dflt;
-  char* end = nullptr;
-  auto parsed = std::strtoull(v, &end, 10);
-  if (end != v && *end == '\0' && parsed <= 100) {
-    return static_cast<unsigned>(parsed);
-  }
-  warn_once(name,
-            "ignoring invalid %s='%s' (want a percentage 0..100); using "
-            "default %u",
-            name, v, dflt);
-  return dflt;
 }
 
 }  // namespace
@@ -135,81 +92,38 @@ void OpStream::fill_arrivals_ns(unsigned tid, std::uint64_t n,
 }
 
 ServiceOptions ServiceOptions::from_env() {
+  using env::Id;
   ServiceOptions o;
-  o.shards = static_cast<unsigned>(env_u64("PTO_SVC_SHARDS", o.shards));
-  if (const char* v = std::getenv("PTO_SVC_STRUCT");
-      v != nullptr && *v != '\0') {
-    if (std::strcmp(v, "skip") == 0) {
-      o.structure = Structure::kSkiplist;
-    } else if (std::strcmp(v, "hash") == 0) {
-      o.structure = Structure::kHash;
-    } else {
-      warn_once("PTO_SVC_STRUCT",
-                "ignoring invalid PTO_SVC_STRUCT='%s' (want skip|hash); "
-                "using skip",
-                v);
-    }
-  }
-  if (const char* v = std::getenv("PTO_SVC_BATCH");
-      v != nullptr && *v != '\0') {
-    char* end = nullptr;
-    auto parsed = std::strtoull(v, &end, 10);
-    if (end != v && *end == '\0') {  // 0 is a valid "unbatched" setting
-      o.batch = static_cast<unsigned>(parsed);
-    } else {
-      warn_once("PTO_SVC_BATCH",
-                "ignoring invalid PTO_SVC_BATCH='%s' (want a non-negative "
-                "integer); using default %u",
-                v, o.batch);
-    }
-  }
-  if (const char* v = std::getenv("PTO_SVC_PIN"); v != nullptr && *v != '\0') {
-    if (std::strcmp(v, "0") == 0) {
-      o.pin = false;
-    } else if (std::strcmp(v, "1") != 0) {
-      warn_once("PTO_SVC_PIN",
-                "ignoring invalid PTO_SVC_PIN='%s' (want 0|1); using %d", v,
-                o.pin ? 1 : 0);
-    }
-  }
+  o.shards = static_cast<unsigned>(env::integer(Id::kSvcShards, o.shards));
+  // The choice words (skip|hash, uniform|zipf|hotset) follow enum order.
+  o.structure = static_cast<Structure>(
+      env::choice(Id::kSvcStruct, static_cast<unsigned>(o.structure)));
+  o.batch = static_cast<unsigned>(env::integer(Id::kSvcBatch, o.batch));
+  o.pin = env::flag(Id::kSvcPin, o.pin);
   WorkloadSpec& w = o.workload;
-  w.keyspace = env_u64("PTO_SVC_KEYS", w.keyspace);
+  w.keyspace = env::integer(Id::kSvcKeys, w.keyspace);
   if (w.keyspace < 2) {
-    warn_once("PTO_SVC_KEYS.min", "PTO_SVC_KEYS=%llu too small; using 2",
+    warn_once("env.PTO_SVC_KEYS.min", "PTO_SVC_KEYS=%llu too small; using 2",
               static_cast<unsigned long long>(w.keyspace));
     w.keyspace = 2;
   }
-  if (const char* v = std::getenv("PTO_SVC_DIST");
-      v != nullptr && *v != '\0') {
-    if (std::strcmp(v, "uniform") == 0) {
-      w.dist = Dist::kUniform;
-    } else if (std::strcmp(v, "zipf") == 0) {
-      w.dist = Dist::kZipf;
-    } else if (std::strcmp(v, "hotset") == 0) {
-      w.dist = Dist::kHotset;
-    } else {
-      warn_once("PTO_SVC_DIST",
-                "ignoring invalid PTO_SVC_DIST='%s' (want "
-                "uniform|zipf|hotset); using zipf",
-                v);
-    }
-  }
-  // theta = 1 divides the harmonic normalization; keep strictly below.
-  w.theta = env_double("PTO_SVC_SKEW", w.theta, 0.0, 0.9999);
-  w.hot_fraction = env_double("PTO_SVC_HOTFRAC", w.hot_fraction, 1e-6, 1.0);
-  w.hot_prob = env_double("PTO_SVC_HOTPROB", w.hot_prob, 0.0, 1.0);
-  w.get_pct = env_pct("PTO_SVC_READPCT", w.get_pct);
-  w.put_pct = env_pct("PTO_SVC_PUTPCT", w.put_pct);
+  w.dist = static_cast<Dist>(
+      env::choice(Id::kSvcDist, static_cast<unsigned>(w.dist)));
+  w.theta = env::real(Id::kSvcSkew, w.theta);
+  w.hot_fraction = env::real(Id::kSvcHotfrac, w.hot_fraction);
+  w.hot_prob = env::real(Id::kSvcHotprob, w.hot_prob);
+  w.get_pct = static_cast<unsigned>(env::integer(Id::kSvcReadpct, w.get_pct));
+  w.put_pct = static_cast<unsigned>(env::integer(Id::kSvcPutpct, w.put_pct));
   if (w.get_pct + w.put_pct > 100) {
-    warn_once("PTO_SVC_MIX",
+    warn_once("env.PTO_SVC_MIX",
               "PTO_SVC_READPCT=%u + PTO_SVC_PUTPCT=%u exceed 100; using "
               "defaults 50/25",
               w.get_pct, w.put_pct);
     w.get_pct = 50;
     w.put_pct = 25;
   }
-  w.openloop_rate = env_double("PTO_SVC_OPENLOOP", w.openloop_rate, 0.0, 1e9);
-  w.seed = env_u64("PTO_SVC_SEED", w.seed);
+  w.openloop_rate = env::real(Id::kSvcOpenloop, w.openloop_rate);
+  w.seed = env::integer(Id::kSvcSeed, w.seed);
   return o;
 }
 

@@ -16,21 +16,8 @@
 // op at its scheduled instant, so recorded latency includes queueing delay
 // (the standard coordinated-omission-free setup).
 //
-// Environment knobs (ServiceOptions::from_env; malformed values warn once
-// via pto::warn_once and fall back to defaults — never silently):
-//   PTO_SVC_SHARDS    shard count (default 4)
-//   PTO_SVC_STRUCT    per-shard structure: skip|hash (default skip)
-//   PTO_SVC_BATCH     per-shard request batch size, 0 = unbatched (default)
-//   PTO_SVC_PIN       0|1 pin worker threads round-robin to cores (default 1)
-//   PTO_SVC_KEYS      keyspace size (default 65536)
-//   PTO_SVC_DIST      uniform|zipf|hotset (default zipf)
-//   PTO_SVC_SKEW      zipf theta in [0,1) (default 0.99, the YCSB zipfian)
-//   PTO_SVC_HOTFRAC   hotset: hot fraction of the keyspace (default 0.01)
-//   PTO_SVC_HOTPROB   hotset: probability an op is hot (default 0.9)
-//   PTO_SVC_READPCT   get percentage (default 50)
-//   PTO_SVC_PUTPCT    put percentage (default 25; remainder = del)
-//   PTO_SVC_OPENLOOP  per-thread Poisson arrival rate, ops/sec; 0 = closed
-//   PTO_SVC_SEED      workload seed (default 42)
+// ServiceOptions::from_env reads the PTO_SVC_* knobs (README's environment
+// table; parsed by common/env.h).
 #pragma once
 
 #include <cstdint>

@@ -13,6 +13,8 @@
 #endif
 
 #include "common/buildinfo.h"
+#include "common/env.h"
+#include "common/json.h"
 #include "telemetry/registry.h"
 
 namespace pto::telemetry {
@@ -20,13 +22,11 @@ namespace pto::telemetry {
 namespace {
 
 StatsFormat format_from_env() {
-  const char* v = std::getenv("PTO_STATS");
-  if (v == nullptr || *v == '\0') return StatsFormat::kOff;
-  if (std::strcmp(v, "csv") == 0) return StatsFormat::kCsv;
-  if (std::strcmp(v, "json") == 0) return StatsFormat::kJson;
-  std::fprintf(stderr, "PTO_STATS=%s not recognized (json|csv); ignoring\n",
-               v);
-  return StatsFormat::kOff;
+  switch (env::choice(env::Id::kStats, 2)) {  // json|csv
+    case 0: return StatsFormat::kJson;
+    case 1: return StatsFormat::kCsv;
+    default: return StatsFormat::kOff;
+  }
 }
 
 struct State {
@@ -43,34 +43,6 @@ State& state() {
 std::ostream& out() {
   State& s = state();
   return s.os != nullptr ? *s.os : std::cout;
-}
-
-/// JSON string escaping for the label fields (quotes/backslashes/control).
-void json_str(std::ostream& os, const std::string& v) {
-  os << '"';
-  for (char c : v) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void num(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  os << buf;
 }
 
 double fallback_fraction(const PrefixStats& p) {
@@ -125,18 +97,18 @@ void json_summary(std::ostream& os, const obs::HistSummary& s) {
 void emit_json(std::ostream& os, const BenchPoint& p) {
   os << "{\"type\":\"bench_point\",\"schema_version\":" << kStatsSchemaVersion
      << ",\"bench\":";
-  json_str(os, p.bench);
+  json::put_str(os, p.bench);
   os << ",\"series\":";
-  json_str(os, p.series);
+  json::put_str(os, p.series);
   os << ",\"threads\":" << p.threads << ",\"trials\":" << p.trials
      << ",\"ops\":" << p.sim.ops_completed << ",\"ops_per_ms\":";
-  num(os, p.ops_per_ms);
+  json::put_num(os, p.ops_per_ms);
   os << ",\"makespan_cycles\":" << p.makespan
      << ",\"cpu_cycles\":" << p.cpu_cycles
      << ",\"tx_started\":" << p.sim.tx_started
      << ",\"tx_commits\":" << p.sim.tx_commits
      << ",\"tx_cycles\":" << p.sim.tx_cycles << ",\"tx_cycle_share\":";
-  num(os, tx_cycle_share(p));
+  json::put_num(os, tx_cycle_share(p));
   os << ",\"aborts\":{";
   for (unsigned c = 0; c < kTxCodeCount; ++c) {
     os << (c == 0 ? "\"" : ",\"") << tx_code_name(c)
@@ -150,7 +122,7 @@ void emit_json(std::ostream& os, const BenchPoint& p) {
      << ",\"prefix_commits\":" << p.prefix.commits
      << ",\"prefix_fallbacks\":" << p.prefix.fallbacks
      << ",\"fallback_fraction\":";
-  num(os, fallback_fraction(p.prefix));
+  json::put_num(os, fallback_fraction(p.prefix));
   // v2: per-cause prefix abort buckets — on native runs this is where the
   // decoded RTM/SoftHTM abort causes land (sim.tx_aborts stays zero there).
   os << ",\"prefix_aborts\":{";
@@ -169,7 +141,7 @@ void emit_json(std::ostream& os, const BenchPoint& p) {
     for (std::size_t i = 0; i < p.lat_sites.size(); ++i) {
       if (i != 0) os << ',';
       os << "{\"site\":";
-      json_str(os, p.lat_sites[i].site);
+      json::put_str(os, p.lat_sites[i].site);
       os << ",\"fast\":";
       json_summary(os, p.lat_sites[i].fast);
       os << ",\"fallback\":";
@@ -192,18 +164,18 @@ void emit_json(std::ostream& os, const BenchPoint& p) {
     os << "}";
   }
   os << ",\"git_sha\":";
-  json_str(os, or_default(p.git_sha, build_git_sha()));
+  json::put_str(os, or_default(p.git_sha, build_git_sha()));
   os << ",\"build_type\":";
-  json_str(os, or_default(p.build_type, build_type()));
+  json::put_str(os, or_default(p.build_type, build_type()));
   os << ",\"fiber_backend\":";
-  json_str(os, or_default(p.fiber_backend, fiber_backend()));
+  json::put_str(os, or_default(p.fiber_backend, fiber_backend()));
   const std::string now = iso8601_now();
   os << ",\"ts_start\":";
-  json_str(os, or_default(p.ts_start, now.c_str()));
+  json::put_str(os, or_default(p.ts_start, now.c_str()));
   os << ",\"ts_end\":";
-  json_str(os, or_default(p.ts_end, now.c_str()));
+  json::put_str(os, or_default(p.ts_end, now.c_str()));
   os << ",\"hostname\":";
-  json_str(os, or_default(p.hostname, host_name().c_str()));
+  json::put_str(os, or_default(p.hostname, host_name().c_str()));
   os << ",\"intervals\":" << p.intervals;
   os << "}\n";
 }
@@ -246,16 +218,16 @@ void emit_csv(std::ostream& os, const BenchPoint& p, bool header) {
   csv_str(os, p.series);
   os << ',' << p.threads << ',' << p.trials
      << ',' << p.sim.ops_completed << ',';
-  num(os, p.ops_per_ms);
+  json::put_num(os, p.ops_per_ms);
   os << ',' << p.makespan << ',' << p.cpu_cycles << ',' << p.sim.tx_started
      << ',' << p.sim.tx_commits << ',' << p.sim.tx_cycles << ',';
-  num(os, tx_cycle_share(p));
+  json::put_num(os, tx_cycle_share(p));
   for (unsigned c = 0; c < kTxCodeCount; ++c) os << ',' << p.sim.tx_aborts[c];
   os << ',' << p.sim.total_aborts() << ',' << p.sim.fences << ','
      << p.sim.fences_elided << ',' << p.sim.allocs << ',' << p.sim.frees
      << ',' << p.prefix.attempts << ',' << p.prefix.commits << ','
      << p.prefix.fallbacks << ',';
-  num(os, fallback_fraction(p.prefix));
+  json::put_num(os, fallback_fraction(p.prefix));
   for (unsigned c = 1; c < kTxCodeCount; ++c) {
     os << ',' << p.prefix.aborts[c];
   }

@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "common/defs.h"
+#include "common/env.h"
+#include "common/json.h"
 #include "common/warn.h"
 #include "sim/sim.h"
 #include "telemetry/registry.h"
@@ -136,25 +138,14 @@ struct ProfState {
   ProfState() {
     scopes.push_back(std::make_unique<ScopeData>(""));
     cur = scopes.front().get();
-    if (const char* v = std::getenv("PTO_PROF"); v != nullptr && *v != '\0') {
-      if (std::strcmp(v, "json") == 0) {
-        fmt = Format::kJson;
-      } else if (std::strcmp(v, "text") != 0) {
-        warn_once("env.PTO_PROF",
-                  "PTO_PROF=%s not recognized (text|json); using text", v);
-      }
+    // PTO_PROF=text|json (Format order) arms the profiler; 2 = unset.
+    if (const unsigned f = env::choice(env::Id::kProf, 2); f != 2) {
+      fmt = static_cast<Format>(f);
       detail::g_on.store(true, std::memory_order_relaxed);
       report_at_exit = true;
     }
-    if (const char* v = std::getenv("PTO_PROF_OUT");
-        v != nullptr && *v != '\0') {
-      out_path = v;
-    }
-    if (const char* v = std::getenv("PTO_PROF_TOPN")) {
-      char* end = nullptr;
-      auto parsed = std::strtoull(v, &end, 10);
-      if (end != v && parsed > 0) topn = static_cast<unsigned>(parsed);
-    }
+    out_path = env::text(env::Id::kProfOut);
+    topn = static_cast<unsigned>(env::integer(env::Id::kProfTopn, topn));
   }
 };
 
@@ -218,33 +209,6 @@ std::string site_name(const Site* s) {
 // Reporting helpers.
 // ---------------------------------------------------------------------------
 
-void json_str(std::ostream& os, const std::string& v) {
-  os << '"';
-  for (char c : v) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void json_num(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  os << buf;
-}
-
 void json_classes(std::ostream& os, const std::uint64_t (&cl)[kClassCount]) {
   os << '{';
   for (unsigned c = 0; c < kClassCount; ++c) {
@@ -259,12 +223,12 @@ void report_json(std::ostream& os, const std::vector<ScopeSnapshot>& scopes) {
   for (const auto& sc : scopes) {
     os << (first_scope ? "" : ",") << "{\"label\":";
     first_scope = false;
-    json_str(os, sc.label);
+    json::put_str(os, sc.label);
     os << ",\"sites\":[";
     for (std::size_t i = 0; i < sc.sites.size(); ++i) {
       const SiteLedger& l = sc.sites[i];
       os << (i == 0 ? "" : ",") << "{\"site\":";
-      json_str(os, l.site);
+      json::put_str(os, l.site);
       os << ",\"fast_count\":" << l.fast.count << ",\"fast_classes\":";
       json_classes(os, l.fast.classed);
       os << ",\"fallback_count\":" << l.fallback.count
@@ -281,30 +245,30 @@ void report_json(std::ostream& os, const std::vector<ScopeSnapshot>& scopes) {
       }
       SavingsBreakdown sv = derive_savings(l);
       os << "},\"savings\":{\"fence_removed\":";
-      json_num(os, sv.fence_removed);
+      json::put_num(os, sv.fence_removed);
       os << ",\"second_read_collapsed\":";
-      json_num(os, sv.second_read_collapsed);
+      json::put_num(os, sv.second_read_collapsed);
       os << ",\"store_sync_removed\":";
-      json_num(os, sv.store_sync_removed);
+      json::put_num(os, sv.store_sync_removed);
       os << ",\"alloc_avoided\":";
-      json_num(os, sv.alloc_avoided);
+      json::put_num(os, sv.alloc_avoided);
       os << ",\"other_removed\":";
-      json_num(os, sv.other_removed);
+      json::put_num(os, sv.other_removed);
       os << ",\"tx_overhead\":";
-      json_num(os, sv.tx_overhead);
+      json::put_num(os, sv.tx_overhead);
       os << ",\"retry_waste\":";
-      json_num(os, sv.retry_waste);
+      json::put_num(os, sv.retry_waste);
       os << ",\"explained\":";
-      json_num(os, sv.explained());
+      json::put_num(os, sv.explained());
       os << "}}";
     }
     os << "],\"matrix\":[";
     for (std::size_t i = 0; i < sc.matrix.size(); ++i) {
       const ConflictCell& c = sc.matrix[i];
       os << (i == 0 ? "" : ",") << "{\"victim\":";
-      json_str(os, c.victim);
+      json::put_str(os, c.victim);
       os << ",\"aggressor\":";
-      json_str(os, c.aggressor);
+      json::put_str(os, c.aggressor);
       os << ",\"count\":" << c.count
          << ",\"doomed_cycles\":" << c.doomed_cycles << "}";
     }
@@ -313,7 +277,7 @@ void report_json(std::ostream& os, const std::vector<ScopeSnapshot>& scopes) {
       const HotLine& h = sc.hot_lines[i];
       os << (i == 0 ? "" : ",") << "{\"line\":" << h.line
          << ",\"region\":" << h.region << ",\"owner\":";
-      json_str(os, h.owner);
+      json::put_str(os, h.owner);
       os << ",\"aborts\":" << h.aborts
          << ",\"doomed_cycles\":" << h.doomed_cycles << "}";
     }

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "check/check.h"
+#include "common/env.h"
 #include "common/warn.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
@@ -17,20 +18,16 @@ namespace pto::telemetry {
 
 namespace detail {
 
-namespace {
-bool env_set(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0';
-}
-
 bool enabled_from_env() {
+  using env::Id;
   // PTO_METRICS counts too: the interval stream samples these counters, and
   // static-init order across translation units means metrics::configure()
   // cannot reliably flip the gate before this initializer runs.
-  return env_set("PTO_TELEMETRY") || env_set("PTO_STATS") ||
-         env_set("PTO_TRACE") || env_set("PTO_METRICS");
+  return env::choice(Id::kTelemetry, 0) != 0 ||   // 0|1|report
+         env::choice(Id::kStats, 2) != 2 ||       // json|csv, 2 = off
+         *env::text(Id::kTrace) != '\0' ||
+         env::integer(Id::kMetrics, 0) != 0;
 }
-}  // namespace
 
 std::atomic<bool> g_enabled{enabled_from_env()};
 
@@ -129,8 +126,7 @@ void Site::reset() {
 Registry& Registry::instance() {
   static Registry* r = [] {
     auto* reg = new Registry();
-    if (const char* v = std::getenv("PTO_TELEMETRY_REPORT");
-        v != nullptr && *v != '\0') {
+    if (env::choice(env::Id::kTelemetry, 0) == 2) {  // PTO_TELEMETRY=report
       detail::g_enabled.store(true, std::memory_order_relaxed);
       std::atexit([] { Registry::instance().report(std::cerr); });
     }

@@ -15,10 +15,10 @@
 // benches and tests read them).
 //
 // Zero overhead when off: recording is gated on a single relaxed bool that
-// defaults to false and is flipped by PTO_STATS / PTO_TRACE / PTO_TELEMETRY
-// or telemetry::set_enabled(). Inside the simulator no counter update ever
-// charges virtual cycles, so enabling telemetry cannot change a simulated
-// result — simx determinism doubles as the zero-overhead proof.
+// defaults to false and is flipped by PTO_STATS / PTO_TRACE / PTO_TELEMETRY /
+// PTO_METRICS or telemetry::set_enabled(). Inside the simulator no counter
+// update ever charges virtual cycles, so enabling telemetry cannot change a
+// simulated result — simx determinism doubles as the zero-overhead proof.
 #pragma once
 
 #include <atomic>
@@ -38,10 +38,12 @@ namespace pto::telemetry {
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
+/// The environment's recording gate, parsed now: PTO_TELEMETRY=1|report,
+/// PTO_STATS=json|csv, a PTO_TRACE path or a PTO_METRICS interval.
+bool enabled_from_env();
 }  // namespace detail
 
-/// True when sites record events. Initialized from the environment
-/// (PTO_STATS / PTO_TRACE / PTO_TELEMETRY, any non-empty value).
+/// True when sites record events. Initialized from enabled_from_env().
 inline bool enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
@@ -128,7 +130,7 @@ class Registry {
   /// Zero every shard of every site (tests / between measurement phases).
   void reset_all();
 
-  /// Human-readable per-site table (the PTO_TELEMETRY_REPORT exit dump).
+  /// Human-readable per-site table (the PTO_TELEMETRY=report exit dump).
   void report(std::ostream& os);
 
  private:

@@ -1,12 +1,11 @@
 #include "telemetry/trace.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "htm/txcode.h"
 
 namespace pto::telemetry {
@@ -55,20 +54,12 @@ struct State {
   std::uint64_t count = 0;  ///< total events ever pushed
   std::uint32_t run = 0;    ///< current run ordinal
 
-  State() {
-    if (const char* v = std::getenv("PTO_TRACE_CAP")) {
-      char* end = nullptr;
-      auto parsed = std::strtoull(v, &end, 10);
-      if (end != v && parsed > 0) cap = parsed;
-    }
-    if (const char* v = std::getenv("PTO_TRACE_SCHED");
-        v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0) {
-      trace_detail::g_sched_on.store(true, std::memory_order_relaxed);
-    }
-    if (const char* v = std::getenv("PTO_TRACE"); v != nullptr && *v != '\0') {
-      path = v;
-      trace_detail::g_on.store(true, std::memory_order_relaxed);
-    }
+  State()
+      : path(env::text(env::Id::kTrace)),
+        cap(env::integer(env::Id::kTraceCap, kDefaultCap)) {
+    trace_detail::g_sched_on.store(env::flag(env::Id::kTraceSched, false),
+                                   std::memory_order_relaxed);
+    trace_detail::g_on.store(!path.empty(), std::memory_order_relaxed);
   }
 };
 

@@ -18,31 +18,23 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/env.h"
 #include "explore/explore.h"
 #include "sim/sim.h"
 
 namespace pto::testutil {
 
-inline std::uint64_t env_u64_or(const char* name, std::uint64_t dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return dflt;
-  char* end = nullptr;
-  auto parsed = std::strtoull(v, &end, 10);
-  return (end != v && *end == '\0') ? parsed : dflt;
-}
-
 /// Base seed for a seeded test: the hard-coded default unless PTO_TEST_SEED
 /// overrides it.
 inline std::uint64_t test_seed(std::uint64_t dflt) {
-  return env_u64_or("PTO_TEST_SEED", dflt);
+  return env::integer(env::Id::kTestSeed, dflt);
 }
 
-/// Explored schedules per sweep (PTO_EXPLORE_SEEDS).
+/// Explored schedules per sweep (PTO_EXPLORE_SEEDS, at least 1).
 inline unsigned explore_seeds(unsigned dflt = 4) {
-  return static_cast<unsigned>(env_u64_or("PTO_EXPLORE_SEEDS", dflt));
+  return static_cast<unsigned>(env::integer(env::Id::kExploreSeeds, dflt));
 }
 
 /// Record a failing explored case: append its replay token to
@@ -51,8 +43,7 @@ inline unsigned explore_seeds(unsigned dflt = 4) {
 inline std::string note_failure(const explore::Options& xopts,
                                 const std::string& what) {
   std::string line = what + "  [replay: " + explore::token(xopts) + "]";
-  if (const char* path = std::getenv("PTO_REPLAY_TOKENS");
-      path != nullptr && *path != '\0') {
+  if (const char* path = env::text(env::Id::kReplayTokens); *path != '\0') {
     if (std::FILE* f = std::fopen(path, "a")) {
       std::fprintf(f, "%s\n", line.c_str());
       std::fclose(f);

@@ -34,11 +34,11 @@ TEST(TelemetrySmoke, BenchPointEmitsParsableJsonWithRequiredKeys) {
   opts.trials = 1;
   sim::Config cfg;
 
-  auto make_fixture = [] {
+  auto make_fixture = [](std::uint64_t) {
     auto counter =
         std::make_shared<pto::Atom<SimPlatform, std::uint64_t>>();
     counter->init(0);
-    return std::function<void(unsigned, std::uint64_t)>(
+    return bench::TrialBody(
         [counter](unsigned, std::uint64_t ops) {
           for (std::uint64_t i = 0; i < ops; ++i) {
             pto::prefix<SimPlatform>(

@@ -157,7 +157,7 @@ RunRecord run_counter(unsigned threads, int ops, const xp::Options& x,
 // bit-for-bit the plain one — same clocks, same dispatch count, same
 // interleaving as an Options-default (kEnv, no env) run.
 TEST(ExploreRR, ByteIdenticalToPlainDispatcher) {
-  ASSERT_EQ(std::getenv("PTO_SCHED"), nullptr);
+  ASSERT_STREQ(pto::env::text(pto::env::Id::kSched), "");
   xp::Options dflt;  // kEnv, resolves to rr
   xp::Options rr;
   rr.policy = xp::Policy::kRR;

@@ -191,4 +191,45 @@ TEST_F(RunnerEnv, MaxThreadsAboveSimulatorLimitClampsWithWarning) {
   EXPECT_EQ(err.find("clamping"), std::string::npos) << err;
 }
 
+// The per-trial simulation config every figure point runs.
+TEST_F(RunnerEnv, TrialConfigUnderRrIsTheFigureConfig) {
+  unsetenv("PTO_SCHED");
+  RunnerOptions opts;
+  pto::sim::Config base;
+  base.seed = 5;
+  base.fences_in_tx = true;
+  const pto::explore::Options xbase = pto::explore::resolved(base.explore);
+  for (unsigned threads : {1u, 4u}) {
+    for (unsigned trial : {0u, 1u, 2u}) {
+      const pto::sim::Config cfg =
+          pto::bench::trial_config(opts, base, xbase, threads, trial);
+      EXPECT_EQ(cfg.seed, opts.base_seed + 7919ull * trial + 131ull * threads);
+      EXPECT_TRUE(cfg.fences_in_tx);
+      // rr keeps the base explore options, so sim::run resolves them as the
+      // figure binaries always did.
+      EXPECT_EQ(cfg.explore.policy, base.explore.policy);
+      EXPECT_EQ(cfg.explore.seed, base.explore.seed);
+    }
+  }
+}
+
+TEST_F(RunnerEnv, TrialConfigGivesEachTrialItsOwnScheduleSeed) {
+  RunnerOptions opts;
+  const pto::sim::Config base;
+  for (auto pol : {pto::explore::Policy::kPCT, pto::explore::Policy::kRandom}) {
+    pto::explore::Options xbase;
+    xbase.policy = pol;
+    xbase.seed = 11;
+    const auto a = pto::bench::trial_config(opts, base, xbase, 4, 0);
+    const auto b = pto::bench::trial_config(opts, base, xbase, 4, 1);
+    const auto c = pto::bench::trial_config(opts, base, xbase, 2, 0);
+    EXPECT_EQ(a.explore.policy, pol);
+    EXPECT_NE(a.explore.seed, b.explore.seed);
+    EXPECT_NE(a.explore.seed, c.explore.seed);
+    // Same inputs, same seed: sweeps stay reproducible.
+    EXPECT_EQ(a.explore.seed,
+              pto::bench::trial_config(opts, base, xbase, 4, 0).explore.seed);
+  }
+}
+
 }  // namespace
