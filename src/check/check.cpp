@@ -1,5 +1,6 @@
 #include "check/check.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -309,19 +310,32 @@ const char* kKindNames[] = {
     "doomed-address-use", "doomed-value-store", "over-capacity",
 };
 
+/// The per-site capacity rows ordered by site name, so reports do not depend
+/// on where the sites happen to be allocated.
+std::vector<std::pair<std::string, const SiteCap*>> caps_by_name(
+    const CheckState& S) {
+  std::vector<std::pair<std::string, const SiteCap*>> rows;
+  for (const auto& [site, cap] : S.site_caps) {
+    rows.emplace_back(span_name(site, false), &cap);
+  }
+  std::sort(rows.begin(), rows.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return rows;
+}
+
 /// Findings synthesized at report time: prefix sites whose transactions only
 /// ever capacity-abort (the body can statically never fit the HTM).
 std::vector<Finding> capacity_findings(const CheckState& S) {
   std::vector<Finding> out;
-  for (const auto& [site, cap] : S.site_caps) {
-    if (cap.commits == 0 && cap.capacity_aborts >= kCapacityAbortThreshold) {
+  for (const auto& [name, cap] : caps_by_name(S)) {
+    if (cap->commits == 0 && cap->capacity_aborts >= kCapacityAbortThreshold) {
       Finding f;
       f.kind = FindingKind::kOverCapacity;
-      f.site_a = span_name(site, false);
+      f.site_a = name;
       f.site_b = f.site_a;
-      f.count = cap.capacity_aborts;
+      f.count = cap->capacity_aborts;
       f.addr = 0;
-      f.line = cap.max_wset;  // footprint, not an address: wlines at abort
+      f.line = cap->max_wset;  // footprint, not an address: wlines at abort
       out.push_back(std::move(f));
     }
   }
@@ -722,10 +736,10 @@ void report(std::ostream& os, bool full) {
     if (!S.site_caps.empty()) {
       os << "capacity table (site commits capacity_aborts max_rset "
             "max_wset):\n";
-      for (const auto& [site, cap] : S.site_caps) {
-        os << "  " << span_name(site, false) << " " << cap.commits << " "
-           << cap.capacity_aborts << " " << cap.max_rset << " "
-           << cap.max_wset << "\n";
+      for (const auto& [name, cap] : caps_by_name(S)) {
+        os << "  " << name << " " << cap->commits << " "
+           << cap->capacity_aborts << " " << cap->max_rset << " "
+           << cap->max_wset << "\n";
       }
     }
   }

@@ -53,11 +53,6 @@ Backend probe_backend() {
 
 }  // namespace detail
 
-Backend backend() {
-  static const Backend b = detail::probe_backend();
-  return b;
-}
-
 namespace detail {
 telemetry::Site* native_site() {
   static telemetry::Site* const s = telemetry::Registry::instance().intern(

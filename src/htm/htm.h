@@ -32,8 +32,16 @@ namespace pto::htm {
 
 enum class Backend { kRTM, kSoft };
 
-/// The active backend (probed once; sticky for the process lifetime).
-Backend backend();
+namespace detail {
+Backend probe_backend();
+}  // namespace detail
+
+/// The active backend (probed once; sticky for the process lifetime). Inline,
+/// so after the first call it costs one guard-byte test and no call.
+inline Backend backend() {
+  static const Backend b = detail::probe_backend();
+  return b;
+}
 
 /// True when transactions are strongly atomic with respect to plain
 /// non-transactional accesses. RTM: yes. SoftHTM: only for accesses made
@@ -50,8 +58,6 @@ inline std::jmp_buf& checkpoint() { return softhtm::tls_tx().env; }
 unsigned char last_user_code();
 
 namespace detail {
-Backend probe_backend();
-
 /// Telemetry site for the native facade ("htm.rtm" / "htm.soft"), so native
 /// runs report commits and aborts-by-cause through the same registry schema
 /// as the simulator. Commits are recorded after tx_end and aborts on the

@@ -10,12 +10,11 @@ alignas(kCacheLine) std::atomic<std::uint64_t> g_clock{0};
 }  // namespace detail
 
 namespace {
-thread_local Tx g_tx;
 thread_local unsigned char g_last_user_code = TX_CODE_NONE;
 
 /// Whether this commit holds `o` (entries not yet locked are kNotOwner).
 bool owns(const Tx& tx, const Orec* o) {
-  for (const WriteEntry& e : tx.writes) {
+  for (const WriteEntry& e : tx.write_set()) {
     if (e.orec == o && e.locked != kNotOwner) return true;
   }
   return false;
@@ -24,7 +23,7 @@ bool owns(const Tx& tx, const Orec* o) {
 /// Every logged read still carries the orec word it was read under. An orec
 /// this commit has locked counts as unchanged if it was locked from that word.
 bool reads_valid(const Tx& tx) {
-  for (const ReadEntry& r : tx.reads) {
+  for (const ReadEntry& r : tx.read_set()) {
     std::uint64_t w = r.orec->load(std::memory_order_acquire);
     if (w == r.word) continue;
     if (w == (r.word | 1) && owns(tx, r.orec)) continue;
@@ -47,7 +46,7 @@ void unlock_first(Tx& tx, std::size_t n) {
 /// Lock the write set, validate the read set, write back, release. A busy
 /// orec aborts instead of waiting, so no commit ever waits on another.
 void write_back(Tx& tx) {
-  const std::size_t n = tx.writes.size();
+  const std::size_t n = tx.n_writes;
   for (std::size_t i = 0; i < n; ++i) {
     WriteEntry& e = tx.writes[i];
     if (owns(tx, e.orec)) continue;  // two written words share this orec
@@ -63,8 +62,8 @@ void write_back(Tx& tx) {
     unlock_first(tx, n);
     abort_tx(TX_ABORT_CONFLICT, TX_CODE_NONE);
   }
-  for (const WriteEntry& e : tx.writes) e.wr(e.obj, e.val);
-  for (const WriteEntry& e : tx.writes) {
+  for (const WriteEntry& e : tx.write_set()) e.wr(e.obj, e.val);
+  for (const WriteEntry& e : tx.write_set()) {
     if (e.locked != kNotOwner) detail::release_orec(*e.orec, e.locked);
   }
   // Like a hardware commit, order the write-back before later loads.
@@ -72,7 +71,6 @@ void write_back(Tx& tx) {
 }
 }  // namespace
 
-Tx& tls_tx() { return g_tx; }
 unsigned char last_user_code() { return g_last_user_code; }
 
 namespace detail {
@@ -92,13 +90,13 @@ void extend(Tx& tx, std::uint64_t ver) {
 }  // namespace detail
 
 unsigned begin() {
-  Tx& tx = g_tx;
+  Tx& tx = tls_tx();
   if (tx.active) {
     ++tx.depth;  // flat nesting
     return TX_STARTED;
   }
-  tx.reads.clear();
-  tx.writes.clear();
+  tx.n_reads = 0;
+  tx.n_writes = 0;
   tx.depth = 0;
   tx.rv = detail::g_clock.load(std::memory_order_acquire);
   tx.active = true;
@@ -106,25 +104,25 @@ unsigned begin() {
 }
 
 void commit() {
-  Tx& tx = g_tx;
+  Tx& tx = tls_tx();
   if (tx.depth > 0) {
     --tx.depth;
     return;
   }
   // A read-only transaction is already consistent at its read timestamp.
-  if (!tx.writes.empty()) write_back(tx);
+  if (tx.n_writes != 0) write_back(tx);
   tx.active = false;
-  tx.reads.clear();
-  tx.writes.clear();
+  tx.n_reads = 0;
+  tx.n_writes = 0;
 }
 
 void abort_tx(unsigned cause, unsigned char user_code) {
-  Tx& tx = g_tx;
+  Tx& tx = tls_tx();
   g_last_user_code = user_code;
   tx.active = false;
   tx.depth = 0;
-  tx.reads.clear();
-  tx.writes.clear();
+  tx.n_reads = 0;
+  tx.n_writes = 0;
   // The longjmp bypasses htm::tx_begin's abort-return path, so the facade's
   // telemetry site is fed here (writes are buffered, nothing to roll back).
   if (PTO_UNLIKELY(::pto::telemetry::enabled())) {

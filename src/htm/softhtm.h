@@ -25,6 +25,13 @@
 // but a preempted orec holder stalls accessors of that stripe, so SoftHTM is
 // not lock-free (DESIGN.md §2).
 //
+// Capacity (best-effort, like RTM): the read and write sets are fixed arrays
+// of kMaxReads / kMaxWrites word entries; a transaction that needs one more
+// aborts with TX_ABORT_CAPACITY. The bound also keeps the per-thread
+// descriptor trivially destructible, so it is a constant-initialized
+// thread_local and every accessor reaches it with one %fs-relative load and
+// no call.
+//
 // Restrictions (same as real RTM): code inside a transaction must be
 // trivially unwindable — aborts longjmp to the checkpoint installed by
 // pto::prefix(), skipping destructors.
@@ -35,7 +42,8 @@
 #include <csetjmp>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
+#include <type_traits>
 
 #include "common/bits.h"
 #include "common/defs.h"
@@ -72,17 +80,35 @@ struct WriteEntry {
   std::uint64_t locked;
 };
 
+/// Read- and write-set capacities: the simulator's HtmConfig defaults
+/// (512 read lines, 64 write lines) counted per logged word instead of per
+/// cache line.
+inline constexpr std::size_t kMaxReads = 512;
+inline constexpr std::size_t kMaxWrites = 64;
+
 /// Per-thread transaction descriptor.
 struct Tx {
   bool active = false;
   int depth = 0;  ///< flat nesting depth beyond the outermost begin
   std::uint64_t rv = 0;  ///< read timestamp: every logged read is <= rv
-  std::vector<ReadEntry> reads;
-  std::vector<WriteEntry> writes;
-  std::jmp_buf env;  ///< abort checkpoint, armed by pto::prefix()
-};
+  std::size_t n_reads = 0;
+  std::size_t n_writes = 0;
+  ReadEntry reads[kMaxReads]{};
+  WriteEntry writes[kMaxWrites]{};
+  std::jmp_buf env{};  ///< abort checkpoint, armed by pto::prefix()
 
-Tx& tls_tx();
+  std::span<const ReadEntry> read_set() const { return {reads, n_reads}; }
+  std::span<WriteEntry> write_set() { return {writes, n_writes}; }
+  std::span<const WriteEntry> write_set() const { return {writes, n_writes}; }
+};
+// A non-trivial destructor would put a TLS wrapper call on every access.
+static_assert(std::is_trivially_destructible_v<Tx>);
+
+namespace detail {
+inline constinit thread_local Tx g_tx;
+}  // namespace detail
+
+inline Tx& tls_tx() { return detail::g_tx; }
 
 /// Begin a transaction (or nest into the active one). Returns TX_STARTED.
 /// The caller must have armed tls_tx().env with setjmp *before* calling.
@@ -177,7 +203,7 @@ void extend(Tx& tx, std::uint64_t ver);
 template <class T>
 T tx_load(const std::atomic<T>& a) {
   Tx& tx = tls_tx();
-  for (const WriteEntry& e : tx.writes) {  // read-own-writes
+  for (const WriteEntry& e : tx.write_set()) {  // read-own-writes
     if (e.obj == &a) return ::pto::narrow<T>(e.val);
   }
   const Orec& o = detail::orec_of(&a);
@@ -188,7 +214,10 @@ T tx_load(const std::atomic<T>& a) {
       detail::extend(tx, detail::version_of(w));
       continue;
     }
-    tx.reads.push_back({&o, w});
+    if (PTO_UNLIKELY(tx.n_reads == kMaxReads)) {
+      abort_tx(TX_ABORT_CAPACITY, TX_CODE_NONE);
+    }
+    tx.reads[tx.n_reads++] = {&o, w};
     return v;
   }
 }
@@ -196,14 +225,17 @@ T tx_load(const std::atomic<T>& a) {
 template <class T>
 void tx_store(std::atomic<T>& a, T v) {
   Tx& tx = tls_tx();
-  for (auto& e : tx.writes) {
+  for (WriteEntry& e : tx.write_set()) {
     if (e.obj == &a) {
       e.val = ::pto::widen(v);
       return;
     }
   }
-  tx.writes.push_back({&a, ::pto::widen(v), &detail::erased_write<T>,
-                       &detail::orec_of(&a), kNotOwner});
+  if (PTO_UNLIKELY(tx.n_writes == kMaxWrites)) {
+    abort_tx(TX_ABORT_CAPACITY, TX_CODE_NONE);
+  }
+  tx.writes[tx.n_writes++] = {&a, ::pto::widen(v), &detail::erased_write<T>,
+                              &detail::orec_of(&a), kNotOwner};
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "check/check.h"
@@ -432,6 +434,37 @@ TEST(Check, CommittingSiteIsNotOverCapacity) {
   });
   EXPECT_FALSE(
       has_kind(check::findings(), check::FindingKind::kOverCapacity));
+}
+
+/// The capacity table lists sites by name, not by where they were allocated:
+/// "b" is interned (and commits) before "a", yet "a" is printed first.
+TEST(Check, CapacityTableOrderedBySiteName) {
+  CheckOn guard;
+  sim::reset_memory();
+  auto& reg = pto::telemetry::Registry::instance();
+  pto::telemetry::Site* b = reg.intern("checktest.order.b");
+  pto::telemetry::Site* a = reg.intern("checktest.order.a");
+  Atom<SimPlatform, std::uint64_t> cell;
+  cell.init(0);
+  sim::Config cfg;
+  cfg.seed = 17;
+  sim::run(1, cfg, [&](unsigned) {
+    for (pto::telemetry::Site* site : {b, a}) {
+      pto::prefix<SimPlatform>(
+          1, [&] { cell.store(1, std::memory_order_relaxed); },
+          [&] { cell.store(1, std::memory_order_seq_cst); },
+          pto::StatsHandle(site));
+      sim::op_done();
+    }
+  });
+  std::ostringstream os;
+  check::report(os, /*full=*/true);
+  const std::string out = os.str();
+  const auto pos_a = out.find("  checktest.order.a ");
+  const auto pos_b = out.find("  checktest.order.b ");
+  ASSERT_NE(pos_a, std::string::npos) << out;
+  ASSERT_NE(pos_b, std::string::npos) << out;
+  EXPECT_LT(pos_a, pos_b) << out;
 }
 
 // ---------------------------------------------------------------------------

@@ -46,6 +46,10 @@ BenchPoint sample_point() {
   p.sim.tx_aborts[pto::TX_ABORT_CONFLICT] = 61;
   p.sim.tx_aborts[pto::TX_ABORT_CAPACITY] = 7;
   p.sim.tx_aborts[pto::TX_ABORT_EXPLICIT] = 3;
+  // Fixed stamps: left empty, each emission would read the wall clock, and
+  // two emissions compared byte for byte would differ when it ticks.
+  p.ts_start = "2026-08-07T12:00:00.000Z";
+  p.ts_end = "2026-08-07T12:00:01.500Z";
   return p;
 }
 
@@ -435,8 +439,11 @@ TEST(Emit, ProvenanceTimestampsRoundTrip) {
 TEST(Emit, ProvenanceDefaultsFilledAtEmitTime) {
   // A point the runner never stamped still emits usable provenance: both
   // timestamps default to "now" and hostname to the machine name.
+  BenchPoint p = sample_point();
+  p.ts_start.clear();
+  p.ts_end.clear();
   Capture cap(StatsFormat::kJson);
-  telemetry::emit_bench_point(sample_point());
+  telemetry::emit_bench_point(p);
   testjson::Value v;
   ASSERT_TRUE(testjson::parse(cap.os.str(), &v));
   const std::string ts = v.find("ts_start")->str();

@@ -3,6 +3,7 @@
 // genuine lock-free fallbacks (with OS preemption forcing aborts); under
 // PTO_HTM=soft the same tests exercise SoftHTM's strongly-atomic accessors.
 // Kept short: correctness smoke under real concurrency, not benchmarks.
+// No prefix site may hit a SoftHTM capacity abort (no_capacity_aborts.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,8 @@
 #include "platform/native_platform.h"
 #include "service/loadgen.h"
 #include "service/shard.h"
+
+#include "no_capacity_aborts.h"
 
 namespace {
 

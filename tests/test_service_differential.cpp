@@ -18,10 +18,11 @@
 //
 // The SvcDifferentialNative suite runs on real threads (and under the ASan/
 // TSan CI legs — the "Native" suite-name token is what the TSan job's
-// `ctest -R Native` selects). The SvcSimTwin suite replays the same
-// WorkloadSpec type under simx virtual threads, where scheduling is
-// deterministic: two identical runs must produce identical final state AND
-// identical simulated makespans.
+// `ctest -R Native` selects); after them no prefix site may have hit a
+// SoftHTM capacity abort (no_capacity_aborts.h). The SvcSimTwin suite
+// replays the same WorkloadSpec type under simx virtual threads, where
+// scheduling is deterministic: two identical runs must produce identical
+// final state AND identical simulated makespans.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,6 +38,8 @@
 #include "service/loadgen.h"
 #include "service/shard.h"
 #include "sim/sim.h"
+
+#include "no_capacity_aborts.h"
 
 #if defined(__SANITIZE_THREAD__)
 #define PTO_SVC_TSAN 1

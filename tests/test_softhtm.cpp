@@ -1,22 +1,29 @@
 // Native HTM layer: backend probing, SoftHTM transactional semantics
 // (atomicity, rollback, version validation, snapshot extension, words that
-// share an orec, read-own-writes, nesting), the strongly-atomic
-// non-transactional accessors, and real-thread stress.
+// share an orec, read-own-writes, nesting, bounded read/write sets), the
+// strongly-atomic non-transactional accessors, and real-thread stress.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/prefix.h"
 #include "htm/htm.h"
 #include "htm/softhtm.h"
 #include "platform/native_platform.h"
+#include "telemetry/registry.h"
 
 namespace {
 
 using pto::Atom;
 using pto::NativePlatform;
 namespace soft = pto::softhtm;
+
+// The descriptor is a constinit thread_local (softhtm.h); it stays reachable
+// without a TLS wrapper call only while it is trivially destructible.
+static_assert(std::is_trivially_destructible_v<soft::Tx>);
 
 /// Run `fn` as a SoftHTM transaction directly (independent of the backend
 /// the process probed).
@@ -160,6 +167,105 @@ TEST(SoftHtm, FlatNesting) {
     soft::tx_store(a, 3);
   });
   EXPECT_EQ(a.load(), 3);
+}
+
+/// The descriptor is idle and holds no logged entries.
+void expect_reset() {
+  const soft::Tx& tx = soft::tls_tx();
+  EXPECT_FALSE(tx.active);
+  EXPECT_EQ(tx.n_reads, 0u);
+  EXPECT_EQ(tx.n_writes, 0u);
+}
+
+/// A later transaction on this thread reads, writes and commits normally.
+void expect_next_tx_commits() {
+  std::atomic<int> a{1}, b{0};
+  EXPECT_EQ(soft_tx([&] { soft::tx_store(b, soft::tx_load(a) + 1); }),
+            pto::TX_STARTED);
+  EXPECT_EQ(b.load(), 2);
+  expect_reset();
+}
+
+TEST(SoftHtm, ReadSetOverflowAbortsWithCapacity) {
+  std::vector<std::atomic<std::uint64_t>> words(soft::kMaxReads + 1);
+  std::size_t logged = 0;
+  unsigned s = soft_tx([&] {
+    for (auto& w : words) {
+      soft::tx_load(w);
+      ++logged;
+    }
+  });
+  EXPECT_EQ(s, pto::TX_ABORT_CAPACITY);
+  EXPECT_EQ(logged, soft::kMaxReads);  // the extra read is the one refused
+  expect_reset();
+  expect_next_tx_commits();
+}
+
+TEST(SoftHtm, WriteSetOverflowAbortsAndPublishesNothing) {
+  std::vector<std::atomic<std::uint64_t>> words(soft::kMaxWrites + 1);
+  unsigned s = soft_tx([&] {
+    for (auto& w : words) soft::tx_store(w, std::uint64_t{1});
+  });
+  EXPECT_EQ(s, pto::TX_ABORT_CAPACITY);
+  for (auto& w : words) EXPECT_EQ(w.load(), 0u);
+  expect_reset();
+  expect_next_tx_commits();
+}
+
+TEST(SoftHtm, SetsAtCapacityCommit) {
+  // Exactly kMaxWrites distinct words, each rewritten (a rewrite updates the
+  // entry in place), after exactly kMaxReads reads: no capacity abort.
+  std::vector<std::atomic<std::uint64_t>> words(soft::kMaxWrites);
+  std::atomic<std::uint64_t> r{3};
+  unsigned s = soft_tx([&] {
+    for (std::size_t i = 0; i < soft::kMaxReads; ++i) soft::tx_load(r);
+    for (int pass = 1; pass <= 2; ++pass) {
+      for (auto& w : words) soft::tx_store(w, std::uint64_t(pass));
+    }
+  });
+  EXPECT_EQ(s, pto::TX_STARTED);
+  for (auto& w : words) EXPECT_EQ(w.load(), 2u);
+  expect_reset();
+}
+
+TEST(SoftHtm, PrefixFallsBackOnceOnCapacity) {
+  if (pto::htm::backend() != pto::htm::Backend::kSoft) {
+    GTEST_SKIP() << "needs the SoftHTM backend";
+  }
+  const bool was_enabled = pto::telemetry::enabled();
+  pto::telemetry::set_enabled(true);
+  pto::telemetry::Site* soft_site =
+      pto::telemetry::Registry::instance().intern("htm.soft");
+  const pto::PrefixStats before = soft_site->snapshot();
+
+  const std::size_t n = soft::kMaxWrites + 1;
+  auto words = std::make_unique<Atom<NativePlatform, std::uint64_t>[]>(n);
+  pto::PrefixStats st;
+  int fast_runs = 0;
+  bool slow_ran = pto::prefix<NativePlatform>(
+      pto::PrefixPolicy(4),
+      [&]() -> bool {
+        ++fast_runs;  // a plain local: not rolled back by the abort
+        for (std::size_t i = 0; i < n; ++i) words[i].store(1);
+        return false;
+      },
+      [&]() -> bool { return true; }, &st);
+  const pto::PrefixStats after = soft_site->snapshot();
+  pto::telemetry::set_enabled(was_enabled);
+
+  EXPECT_TRUE(slow_ran);
+  EXPECT_EQ(fast_runs, 1);
+  EXPECT_EQ(st.attempts, 1u);
+  EXPECT_EQ(st.commits, 0u);
+  EXPECT_EQ(st.fallbacks, 1u);
+  EXPECT_EQ(st.aborts[pto::TX_ABORT_CAPACITY], 1u);
+  EXPECT_EQ(st.total_aborts(), 1u);
+  EXPECT_EQ(after.aborts[pto::TX_ABORT_CAPACITY] -
+                before.aborts[pto::TX_ABORT_CAPACITY],
+            1u);
+  EXPECT_EQ(after.total_aborts() - before.total_aborts(), 1u);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(words[i].load(), 0u);
+  expect_reset();
 }
 
 TEST(SoftHtm, NtAccessorsAreLinearizable) {
